@@ -16,11 +16,11 @@
 // Every decision is a pure function of (seed, site name, per-site
 // counter): the n-th query at a given site always answers the same
 // way for a given seed, no matter how host goroutines are scheduled.
-// Wall-clock time and math/rand are never consulted. Fired decisions
-// are recorded in an event journal (a trace.Buffer with zero
-// timestamps), so two runs of the same seed over the same workload
-// produce byte-identical journals; a failing seed prints as a
-// replayable -chaos.seed=N.
+// Wall-clock time and math/rand are never consulted, so two runs of
+// the same seed over the same workload consult the same decisions; a
+// failing seed prints as a replayable -chaos.seed=N. StartRecording
+// keeps every consulted decision in global order, and Schedule
+// serializes them as a schedule journal that NewReplay re-issues.
 //
 // # Safety
 //
@@ -117,9 +117,6 @@ type Config struct {
 	// StackFail fails a library thread-stack allocation with a
 	// transient EAGAIN. Zero in DefaultConfig (see AllocFail).
 	StackFail int
-
-	// JournalCapacity bounds the event journal (default 4096).
-	JournalCapacity int
 }
 
 // DefaultConfig returns the rates used by the chaos test sweeps:
@@ -161,13 +158,12 @@ func FaultConfig(seed uint64) Config {
 
 // Source issues deterministic perturbation decisions. A nil *Source
 // never fires. One Source must not be shared between systems whose
-// journals are compared: the journal interleaves all sites.
+// schedules are compared: the recording interleaves all sites.
 type Source struct {
 	cfg Config
 
 	mu       sync.Mutex
 	counters map[string]uint64
-	journal  *trace.Buffer
 
 	// Recording mode: every consulted decision is appended in global
 	// order, so the run's schedule serializes to a journal.
@@ -211,16 +207,7 @@ func (d *Divergence) String() string {
 
 // New returns a Source with the given configuration.
 func New(cfg Config) *Source {
-	if cfg.JournalCapacity <= 0 {
-		cfg.JournalCapacity = 4096
-	}
-	return &Source{
-		cfg:      cfg,
-		counters: make(map[string]uint64),
-		// nil now: journal events carry zero timestamps, so two
-		// runs of one seed compare equal event-for-event.
-		journal: trace.New(cfg.JournalCapacity, nil),
-	}
+	return &Source{cfg: cfg, counters: make(map[string]uint64)}
 }
 
 // Enabled reports whether the source injects anything (false for nil).
@@ -232,14 +219,6 @@ func (s *Source) Seed() uint64 {
 		return 0
 	}
 	return s.cfg.Seed
-}
-
-// Journal returns the event journal of fired decisions (nil for nil).
-func (s *Source) Journal() *trace.Buffer {
-	if s == nil {
-		return nil
-	}
-	return s.journal
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
@@ -301,7 +280,7 @@ func (s *Source) recordLocked(site string, n, value int64) {
 	}
 }
 
-// fire decides a boolean site and journals a hit.
+// fire decides a boolean site.
 func (s *Source) fire(site string, permille int) bool {
 	if s == nil || permille <= 0 {
 		return false
@@ -320,9 +299,6 @@ func (s *Source) fire(site string, permille int) bool {
 		v = 1
 	}
 	s.recordLocked(site, 1, v)
-	if hit {
-		s.journal.Add("chaos", "%s", site)
-	}
 	s.mu.Unlock()
 	return hit
 }
@@ -346,9 +322,6 @@ func (s *Source) choose(site string, n, permille int) int {
 		}
 	}
 	s.recordLocked(site, int64(n), int64(idx))
-	if idx >= 0 {
-		s.journal.Add("chaos", "%s idx=%d/%d", site, idx, n)
-	}
 	s.mu.Unlock()
 	return idx
 }
@@ -523,11 +496,21 @@ func (s *Source) Jitter(d time.Duration) time.Duration {
 		}
 	}
 	s.recordLocked("ktime.jitter", int64(d), int64(nd))
-	if nd != d {
-		s.journal.Add("chaos", "ktime.jitter %v -> %v", d, nd)
-	}
 	s.mu.Unlock()
 	return nd
+}
+
+// Perturbed reports whether a recorded decision perturbed the run: a
+// boolean site (recorded with N 1) that hit, a timer jitter that
+// moved its deadline, or an index site that chose a candidate.
+func Perturbed(d trace.Decision) bool {
+	switch {
+	case d.Site == "ktime.jitter":
+		return d.Value != d.N
+	case d.N == 1:
+		return d.Value != 0
+	}
+	return d.Value >= 0
 }
 
 // StartRecording turns on decision recording: from this point every
@@ -541,16 +524,6 @@ func (s *Source) StartRecording() {
 	s.mu.Lock()
 	s.recording = true
 	s.mu.Unlock()
-}
-
-// Recording reports whether decision recording is on.
-func (s *Source) Recording() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recording
 }
 
 // Schedule snapshots the recorded decision stream into a journal

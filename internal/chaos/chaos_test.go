@@ -3,12 +3,16 @@ package chaos
 import (
 	"testing"
 	"time"
+
+	"sunosmt/internal/trace"
 )
 
-// drive runs a fixed query script against a fresh source and returns
-// the journal lines.
-func drive(seed uint64) []string {
+// drive runs a fixed query script against a fresh recording source
+// and returns its recorded schedule: every consulted decision, in
+// order.
+func drive(seed uint64) []trace.Decision {
 	s := New(DefaultConfig(seed))
+	s.StartRecording()
 	for i := 0; i < 400; i++ {
 		s.Preempt()
 		s.ThreadPreempt()
@@ -20,25 +24,27 @@ func drive(seed uint64) []string {
 		s.Sigwaiting()
 		s.Jitter(time.Millisecond)
 	}
-	var out []string
-	for _, e := range s.Journal().Events() {
-		out = append(out, e.Kind+" "+e.Msg)
-	}
-	return out
+	return s.Schedule().Decisions
 }
 
 func TestSameSeedSameJournal(t *testing.T) {
 	a := drive(42)
 	b := drive(42)
-	if len(a) == 0 {
-		t.Fatal("seed 42 fired no events over 400 rounds; rates too low to explore anything")
+	n := 0
+	for _, d := range a {
+		if Perturbed(d) {
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("seed 42 fired no decisions over 400 rounds; rates too low to explore anything")
 	}
 	if len(a) != len(b) {
-		t.Fatalf("journal lengths differ: %d vs %d", len(a), len(b))
+		t.Fatalf("schedule lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("journal diverges at event %d:\n  run1: %s\n  run2: %s", i, a[i], b[i])
+			t.Fatalf("schedule diverges at decision %d:\n  run1: %+v\n  run2: %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -55,7 +61,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 			}
 		}
 		if same {
-			t.Fatal("seeds 1 and 2 produced identical journals")
+			t.Fatal("seeds 1 and 2 produced identical schedules")
 		}
 	}
 }
@@ -72,7 +78,8 @@ func TestNilSourceIsInert(t *testing.T) {
 	if d := s.Jitter(time.Second); d != time.Second {
 		t.Fatalf("nil source jittered: %v", d)
 	}
-	if s.Journal() != nil || s.Seed() != 0 {
+	s.StartRecording()
+	if len(s.Schedule().Decisions) != 0 || s.Seed() != 0 {
 		t.Fatal("nil source has state")
 	}
 }

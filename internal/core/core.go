@@ -54,9 +54,6 @@ import (
 
 // Config configures a Runtime.
 type Config struct {
-	// Trace, if non-nil, receives library events (thread dispatch,
-	// park, pool growth) for debugging and the Figure 2 demo.
-	Trace *trace.Buffer
 	// MaxAutoLWPs caps SIGWAITING-driven pool growth (default 64).
 	MaxAutoLWPs int
 	// DefaultStackSize is used when thread_create is given no
@@ -130,7 +127,6 @@ type Runtime struct {
 	kern  *sim.Kernel
 	proc  *sim.Process
 	cfg   Config
-	tr    *trace.Buffer
 	rings *trace.Rings // kernel's event rings (nil: tracing off)
 
 	mu      sync.Mutex
@@ -247,7 +243,6 @@ func NewRuntime(kern *sim.Kernel, proc *sim.Process, cfg Config) *Runtime {
 		proc:     proc,
 		cfg:      cfg,
 		stackMem: cfg.StackMem,
-		tr:       cfg.Trace,
 		rings:    kern.Rings(),
 		threads:  make(map[ThreadID]*Thread),
 		zombies:  make(map[ThreadID]*Thread),
@@ -374,8 +369,9 @@ func (m *Runtime) addPoolLWP() error {
 	pl := &poolLWP{l: l, back: make(chan struct{}, 1)}
 	m.mu.Lock()
 	m.pool = append(m.pool, pl)
+	n := len(m.pool)
 	m.mu.Unlock()
-	m.tr.Add("pool", "pool lwp %d created (%d total)", l.ID(), len(m.pool))
+	m.rings.Record(-1, trace.EvPoolGrow, int(m.proc.PID()), int(l.ID()), 0, uint64(n))
 	m.exitWG.Add(1)
 	go m.poolLoop(pl)
 	return nil
@@ -524,8 +520,9 @@ func (m *Runtime) ageOut(pl *poolLWP) {
 	pl.counted = true
 	m.retiring++
 	m.agedOut++
+	remain := len(m.pool) - m.retiring
 	m.mu.Unlock()
-	m.tr.Add("pool", "idle lwp %d aged out (%d remain)", pl.l.ID(), m.PoolSize()-1)
+	m.rings.Record(-1, trace.EvPoolAge, int(m.proc.PID()), int(pl.l.ID()), 0, uint64(remain))
 	m.kern.Unpark(pl.l)
 }
 
@@ -677,9 +674,8 @@ func (m *Runtime) onSigwaiting() {
 	if !need {
 		return
 	}
-	m.tr.Add("pool", "SIGWAITING: growing LWP pool")
 	if err := m.addPoolLWP(); err != nil {
-		m.growthFailed(now, err)
+		m.growthFailed(now)
 		return
 	}
 	m.mu.Lock()
@@ -689,7 +685,7 @@ func (m *Runtime) onSigwaiting() {
 
 // growthFailed records a failed SIGWAITING spawn: double the backoff
 // (bounded) and make sure a retry fires after it elapses.
-func (m *Runtime) growthFailed(now time.Duration, err error) {
+func (m *Runtime) growthFailed(now time.Duration) {
 	m.mu.Lock()
 	switch {
 	case m.growBackoff == 0:
@@ -702,7 +698,6 @@ func (m *Runtime) growthFailed(now time.Duration, err error) {
 	m.growFailures++
 	m.ensureGrowRetryLocked(d)
 	m.mu.Unlock()
-	m.tr.Add("pool", "SIGWAITING growth failed (%v); backing off %v", err, d)
 }
 
 // ensureGrowRetryLocked arms at most one pending retry timer that

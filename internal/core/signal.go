@@ -215,7 +215,6 @@ func (t *Thread) runHandler(ts sim.TakenSignal) {
 			defer m.kern.ExitAltStack(l)
 		}
 	}
-	m.tr.Add("sig", "thread %d handles %v", t.id, ts.Sig)
 	if th, ok := ts.Cookie.(func(*Thread, sim.Signal)); ok {
 		th(t, ts.Sig)
 		return

@@ -510,7 +510,6 @@ func (t *Thread) callBody() {
 // the normal unwind recovery retires the LWP.
 func (t *Thread) abortProcess(r any) {
 	msg := fmt.Sprintf("thread %d panic: %v\n%s", t.id, r, debug.Stack())
-	t.m.tr.Add("thread", "thread %d panics: %v", t.id, r)
 	l := t.LWP()
 	if l == nil {
 		// The thread lost its LWP (it raced with process death);
@@ -917,7 +916,6 @@ func (t *Thread) retire() {
 		m.ndaemon--
 	}
 	last := m.nlive-m.ndaemon == 0 && !m.dying.Load()
-	id := t.id
 	bound := t.bound()
 	bl := t.bndLWP
 	var single *Thread
@@ -941,9 +939,6 @@ func (t *Thread) retire() {
 		}
 	}
 	m.mu.Unlock()
-	if m.tr != nil {
-		m.tr.Add("thread", "thread %d exits", id)
-	}
 	if single != nil {
 		m.unparkInto(single)
 	}

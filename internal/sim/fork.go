@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+
+	"sunosmt/internal/trace"
 )
 
 // This file implements process creation and destruction: exit, fork,
@@ -96,7 +98,7 @@ func (k *Kernel) forkLocked(l *LWP, p *Process, all bool) (*Process, *LWP, []For
 		}
 	}
 	hooks := append([]func(parent, child *Process){}, k.forkHooks...)
-	k.tr.Add("proc", "pid %d forked -> pid %d (all=%v, %d extra lwps)", p.pid, child.pid, all, len(others))
+	k.rings.Record(-1, trace.EvFork, int(p.pid), int(l.id), 0, uint64(child.pid))
 	return child, cl, others, hooks
 }
 
@@ -108,27 +110,24 @@ func (k *Kernel) forkLocked(l *LWP, p *Process, all bool) (*Process, *LWP, []For
 func (k *Kernel) Exec(l *LWP, name string) (*LWP, error) {
 	p := l.proc
 	k.Checkpoint(l) // unwind here if the process is already dying
-	nl, hooks, err := k.execInner(l, p, name)
+	nl, err := k.execInner(l, p, name)
 	if err != nil {
 		return nil, err
-	}
-	for _, h := range hooks {
-		h(p)
 	}
 	// The caller's LWP dies; its animator must not touch it again.
 	k.ExitLWP(l)
 	return nl, nil
 }
 
-func (k *Kernel) execInner(l *LWP, p *Process, name string) (*LWP, []func(*Process), error) {
+func (k *Kernel) execInner(l *LWP, p *Process, name string) (*LWP, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if p.execing {
-		return nil, nil, fmt.Errorf("sim: concurrent exec in pid %d", p.pid)
+		return nil, fmt.Errorf("sim: concurrent exec in pid %d", p.pid)
 	}
 	p.execing = true
 	p.execSurvivor = l
-	k.tr.Add("proc", "pid %d exec (%s): tearing down %d LWPs", p.pid, name, p.liveLWPs-1)
+	k.rings.Record(-1, trace.EvExec, int(p.pid), int(l.id), 0, uint64(p.liveLWPs-1))
 	// Wake everyone; non-survivors unwind at their next kernel
 	// entry. Exec blocks until all the LWPs are destroyed (paper).
 	for _, x := range p.lwps {
@@ -154,8 +153,7 @@ func (k *Kernel) execInner(l *LWP, p *Process, name string) (*LWP, []func(*Proce
 	nl := k.newLWPLocked(p, ClassTS, defaultTSPrio)
 	p.execing = false
 	p.execSurvivor = nil
-	hooks := append([]func(*Process){}, k.execHooks...)
-	return nl, hooks, nil
+	return nl, nil
 }
 
 // defaultTSPrio is the base timeshare priority of new LWPs.

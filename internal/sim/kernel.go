@@ -67,12 +67,10 @@ type Config struct {
 	// TimeSlice is the timeshare scheduling quantum checked at
 	// preemption points; 0 disables time slicing.
 	TimeSlice time.Duration
-	// Trace, if non-nil, receives kernel events.
-	Trace *trace.Buffer
-	// Rings, if non-nil, receives hot-path scheduler events
-	// (dispatch, preemption, wakeup, migration, SIGWAITING) in the
-	// per-CPU binary event rings. Nil disables event tracing with no
-	// cost at the recording sites.
+	// Rings, if non-nil, receives every kernel event (scheduler
+	// transitions and process/LWP lifecycle) in the per-CPU binary
+	// event rings. Nil disables event tracing with no cost at the
+	// recording sites.
 	Rings *trace.Rings
 	// SignalOnAnyBlock makes the kernel treat every kernel sleep as
 	// an indefinite wait for SIGWAITING purposes. This is the
@@ -142,7 +140,6 @@ type Kernel struct {
 	cfg   Config
 	clock ktime.Clock
 	ff    *ktime.FastForward // non-nil when the clock fast-forwards
-	tr    *trace.Buffer
 	rings *trace.Rings
 	chaos *chaos.Source
 
@@ -170,8 +167,6 @@ type Kernel struct {
 	// a process is duplicated; layers above the kernel use them to
 	// copy fd tables and address spaces.
 	forkHooks []func(parent, child *Process)
-	// execHooks run when a process execs.
-	execHooks []func(p *Process)
 	// deathHooks run (on fresh goroutines, with mu released) once
 	// per process death — voluntary exit or kill alike. The shared
 	// synchronization registry uses them to sweep locks the dead
@@ -230,7 +225,6 @@ func NewKernel(cfg Config) *Kernel {
 	k := &Kernel{
 		cfg:   cfg,
 		clock: cfg.Clock,
-		tr:    cfg.Trace,
 		rings: cfg.Rings,
 		chaos: cfg.Chaos,
 		procs: make(map[PID]*Process),
@@ -284,9 +278,6 @@ func (k *Kernel) Clock() ktime.Clock { return k.clock }
 // NCPU returns the number of simulated CPUs.
 func (k *Kernel) NCPU() int { return len(k.cpus) }
 
-// Trace returns the kernel trace buffer (may be nil).
-func (k *Kernel) Trace() *trace.Buffer { return k.tr }
-
 // Rings returns the per-CPU event rings (nil when event tracing is
 // off).
 func (k *Kernel) Rings() *trace.Rings { return k.rings }
@@ -301,14 +292,6 @@ func (k *Kernel) Chaos() *chaos.Source { return k.chaos }
 func (k *Kernel) AddForkHook(fn func(parent, child *Process)) {
 	k.mu.Lock()
 	k.forkHooks = append(k.forkHooks, fn)
-	k.mu.Unlock()
-}
-
-// AddExecHook registers fn to run whenever a process execs (after the
-// kernel has torn down the old LWPs).
-func (k *Kernel) AddExecHook(fn func(p *Process)) {
-	k.mu.Lock()
-	k.execHooks = append(k.execHooks, fn)
 	k.mu.Unlock()
 }
 
@@ -352,7 +335,11 @@ func (k *Kernel) newProcessLocked(name string, parent *Process) *Process {
 		parent.children[p.pid] = p
 	}
 	k.procs[p.pid] = p
-	k.tr.Add("proc", "created pid %d (%s)", p.pid, name)
+	var ppid PID
+	if parent != nil {
+		ppid = parent.pid
+	}
+	k.rings.Record(-1, trace.EvProcCreate, int(p.pid), 0, 0, uint64(ppid))
 	return p
 }
 
@@ -389,11 +376,9 @@ func (k *Kernel) NewLWP(p *Process, class Class, prio int) (*LWP, error) {
 		return nil, fmt.Errorf("sim: process %d is exiting", p.pid)
 	}
 	if p.lwpLimit > 0 && p.liveLWPs >= p.lwpLimit {
-		k.tr.Add("lwp", "pid %d: LWP rlimit (%d) reached", p.pid, p.lwpLimit)
 		return nil, fmt.Errorf("pid %d at LWP rlimit %d: %w", p.pid, p.lwpLimit, ErrAgain)
 	}
 	if k.chaos.LWPSpawnFail() {
-		k.tr.Add("lwp", "pid %d: chaos LWP spawn failure", p.pid)
 		return nil, fmt.Errorf("pid %d transient spawn failure: %w", p.pid, ErrAgain)
 	}
 	return k.newLWPLocked(p, class, prio), nil
@@ -423,7 +408,7 @@ func (k *Kernel) newLWPLocked(p *Process, class Class, prio int) *LWP {
 	// A fresh LWP can run threads, so the all-blocked condition no
 	// longer holds.
 	p.sigwaitingOn = false
-	k.tr.Add("lwp", "pid %d: created lwp %d class %s", p.pid, l.id, class)
+	k.rings.Record(-1, trace.EvLWPCreate, int(p.pid), int(l.id), 0, uint64(class))
 	return l
 }
 
@@ -907,7 +892,6 @@ func (k *Kernel) checkpointLocked(l *LWP) {
 		k.chargeLocked(l)
 	}
 	for p.state == ProcStopped {
-		k.tr.Add("proc", "pid %d lwp %d stops", p.pid, l.id)
 		k.releaseCPULocked(l, LWPStopped)
 		for p.state == ProcStopped && !p.dying {
 			l.cond.Wait()
@@ -992,7 +976,7 @@ func (k *Kernel) ExitLWP(l *LWP) {
 	delete(p.lwps, l.id)
 	p.liveLWPs--
 	close(l.exited)
-	k.tr.Add("lwp", "pid %d lwp %d exits (%d live)", p.pid, l.id, p.liveLWPs)
+	k.rings.Record(-1, trace.EvLWPExit, int(p.pid), int(l.id), 0, uint64(p.liveLWPs))
 	k.scheduleLocked()
 	if p.execing && p.execSurvivor != nil {
 		p.execSurvivor.cond.Broadcast() // exec barrier progress

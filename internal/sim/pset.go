@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"sunosmt/internal/trace"
+)
 
 // Processor sets, after Solaris psrset(1M)/pset_create(2): a pset is
 // a disjoint group of CPUs that runs only the LWPs bound to it. CPUs
@@ -42,7 +46,6 @@ func (k *Kernel) PsetCreate() PsetID {
 	k.nextPset++
 	id := k.nextPset
 	k.psets[id] = &pset{id: id}
-	k.tr.Add("pset", "pset %d created", id)
 	return id
 }
 
@@ -69,7 +72,6 @@ func (k *Kernel) PsetDestroy(id PsetID) error {
 		k.moveCPULocked(c, k.psets[PsetDefault])
 	}
 	delete(k.psets, id)
-	k.tr.Add("pset", "pset %d destroyed", id)
 	k.scheduleLocked()
 	return nil
 }
@@ -104,7 +106,6 @@ func (k *Kernel) PsetAssign(id PsetID, cpuID int) error {
 		}
 	}
 	k.moveCPULocked(c, dst)
-	k.tr.Add("pset", "cpu %d -> pset %d", cpuID, id)
 	k.scheduleLocked()
 	return nil
 }
@@ -164,7 +165,7 @@ func (k *Kernel) PsetBind(l *LWP, id PsetID) error {
 		return fmt.Errorf("sim: lwp %d is bound to CPU %d outside pset %d", l.id, l.boundCPU.id, id)
 	}
 	k.psetRebindLocked(l, ps, id != PsetDefault)
-	k.tr.Add("pset", "lwp %d -> pset %d", l.id, id)
+	k.rings.Record(-1, trace.EvPset, int(l.proc.pid), int(l.id), 0, uint64(id))
 	k.scheduleLocked()
 	return nil
 }

@@ -134,7 +134,6 @@ func (k *Kernel) Priocntl(l *LWP, class Class, prio int) error {
 		return fmt.Errorf("sim: priocntl: lwp %d is a zombie", l.id)
 	}
 	k.reclassLocked(l, class, prio, 0)
-	k.tr.Add("sched", "lwp %d -> class %s prio %d", l.id, class, prio)
 	k.preemptCheckLocked()
 	return nil
 }
@@ -178,7 +177,6 @@ func (k *Kernel) JoinGang(l *LWP, g int, prio int) error {
 		return fmt.Errorf("sim: priocntl: lwp %d is a zombie", l.id)
 	}
 	k.reclassLocked(l, ClassGang, prio, g)
-	k.tr.Add("sched", "lwp %d -> gang %d prio %d", l.id, g, prio)
 	k.preemptCheckLocked()
 	return nil
 }
@@ -213,13 +211,8 @@ func (k *Kernel) BindCPU(l *LWP, cpuID int) error {
 	if queued {
 		k.runqPushLocked(k.placeLocked(l), l)
 	}
-	if bound != nil {
-		if l.cpu != nil && l.cpu != bound {
-			l.preempt = true
-		}
-		k.tr.Add("sched", "lwp %d bound to cpu %d", l.id, cpuID)
-	} else {
-		k.tr.Add("sched", "lwp %d unbound", l.id)
+	if bound != nil && l.cpu != nil && l.cpu != bound {
+		l.preempt = true
 	}
 	k.scheduleLocked()
 	return nil

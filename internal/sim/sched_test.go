@@ -210,10 +210,8 @@ func TestTimeSliceRotatesEqualPriority(t *testing.T) {
 			}
 		}
 	}
-	_, d1 := animate(k, p, mk(&first))
-	_, d2 := animate(k, p, mk(&second))
-	<-d1
-	<-d2
+	_, done := animate(k, p, mk(&first), mk(&second))
+	<-done
 	if len(first) == 0 || len(second) == 0 {
 		t.Fatal("one LWP starved completely despite time slicing")
 	}

@@ -115,8 +115,6 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP) {
 	if p.dying || p.state == ProcZombie || p.state == ProcDead {
 		return
 	}
-	k.tr.Add("sig", "pid %d gets %v%s", p.pid, sig, dirSuffix(target))
-
 	// SIGKILL, SIGSTOP and SIGCONT act immediately; they cannot be
 	// caught or blocked (CONT's continue action happens even if
 	// caught).
@@ -220,13 +218,6 @@ func (k *Kernel) postSignalLocked(p *Process, sig Signal, target *LWP) {
 	}
 }
 
-func dirSuffix(l *LWP) string {
-	if l == nil {
-		return ""
-	}
-	return fmt.Sprintf(" (directed at lwp %d)", l.id)
-}
-
 // kickLocked prods an LWP so it notices pending state soon.
 func (k *Kernel) kickLocked(l *LWP) {
 	if l.state == LWPSleeping && l.interruptible {
@@ -247,13 +238,6 @@ func (k *Kernel) SignalPending(l *LWP) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.deliverableLocked(l) != 0
-}
-
-// PendingSet returns the deliverable signal set for the LWP.
-func (k *Kernel) PendingSet(l *LWP) Sigset {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.deliverableLocked(l)
 }
 
 // TakenSignal describes one signal consumed by TakeSignal.
@@ -307,7 +291,7 @@ func (k *Kernel) TakeSignal(l *LWP) (ts TakenSignal, ok bool) {
 				k.unwindLocked(l, "fatal signal "+sig.String())
 			}
 		}
-		k.tr.Add("sig", "pid %d lwp %d takes %v", l.proc.pid, l.id, sig)
+		k.rings.Record(-1, trace.EvSignal, int(l.proc.pid), int(l.id), 0, uint64(sig))
 		return TakenSignal{Sig: sig, Handler: act.handler, Cookie: act.cookie, HandlerMask: act.mask}, true
 	}
 }
@@ -324,7 +308,6 @@ func (k *Kernel) RaiseTrap(l *LWP, sig Signal) (ts TakenSignal, ok bool) {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.tr.Add("sig", "pid %d lwp %d trap %v", l.proc.pid, l.id, sig)
 	act := l.proc.actions[sig]
 	switch act.disp {
 	case SigIgn:
@@ -351,13 +334,6 @@ func (k *Kernel) SetLWPMask(l *LWP, how SigHow, set Sigset) Sigset {
 	old := l.mask
 	l.mask = ApplyMask(old, how, set).Minus(unmaskable)
 	return old
-}
-
-// LWPMask returns the LWP's current signal mask.
-func (k *Kernel) LWPMask(l *LWP) Sigset {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return l.mask
 }
 
 // SigWait blocks until one of the signals in set is posted to the
@@ -414,7 +390,6 @@ func (k *Kernel) maybeSigwaitingLocked(p *Process) {
 		return
 	}
 	p.sigwaitingOn = true
-	k.tr.Add("sig", "pid %d: all %d LWPs blocked indefinitely -> SIGWAITING", p.pid, eligible)
 	k.rings.Record(-1, trace.EvSigwaiting, int(p.pid), 0, 0, uint64(eligible))
 	k.postSignalLocked(p, SIGWAITING, nil)
 }
@@ -431,7 +406,6 @@ func (k *Kernel) killProcLocked(p *Process, status int, sig Signal, core bool) {
 	p.killSig = sig
 	p.dumpedCore = core
 	p.state = ProcRunning // a stopped process being killed resumes to die
-	k.tr.Add("proc", "pid %d dying (sig %v, core %v)", p.pid, sig, core)
 	// Death hooks fire exactly once per process death (the dying
 	// guard above makes re-entry impossible), on fresh goroutines so
 	// they may take the kernel lock themselves.
@@ -465,7 +439,6 @@ func (k *Kernel) Abort(l *LWP, msg string) {
 	p := l.proc
 	if !p.dying && p.state != ProcZombie && p.state != ProcDead {
 		p.abortMsg = msg
-		k.tr.Add("proc", "pid %d aborts: %s", p.pid, msg)
 		k.killProcLocked(p, 0, SIGABRT, true)
 	}
 	k.unwindLocked(l, "abort")
@@ -476,7 +449,6 @@ func (k *Kernel) stopProcLocked(p *Process) {
 		return
 	}
 	p.state = ProcStopped
-	k.tr.Add("proc", "pid %d stopped", p.pid)
 	// On-CPU LWPs park at their next checkpoint; nothing to do for
 	// sleepers (they stop when they wake and hit a checkpoint).
 }
@@ -486,7 +458,6 @@ func (k *Kernel) contProcLocked(p *Process) {
 		return
 	}
 	p.state = ProcRunning
-	k.tr.Add("proc", "pid %d continued", p.pid)
 	for _, l := range p.lwps {
 		l.cond.Broadcast()
 	}
@@ -499,7 +470,7 @@ func (k *Kernel) finalizeProcLocked(p *Process) {
 		return
 	}
 	p.state = ProcZombie
-	k.tr.Add("proc", "pid %d zombie (status %d sig %v)", p.pid, p.exitStatus, p.killSig)
+	k.rings.Record(-1, trace.EvProcExit, int(p.pid), 0, 0, uint64(uint32(p.exitStatus))|uint64(p.killSig)<<32)
 	// Reparent live children to nobody (the kernel reaps their
 	// zombies directly), and release zombie children now.
 	for _, c := range p.children {

@@ -107,9 +107,6 @@ func (ss Sigset) Union(o Sigset) Sigset { return ss | o }
 // Minus returns ss with every member of o removed.
 func (ss Sigset) Minus(o Sigset) Sigset { return ss &^ o }
 
-// Empty reports whether no signals are in the set.
-func (ss Sigset) Empty() bool { return ss == 0 }
-
 // Lowest returns the lowest-numbered signal in the set, or SIGNONE.
 func (ss Sigset) Lowest() Signal {
 	if ss == 0 {

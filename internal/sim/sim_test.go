@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,27 +14,39 @@ func newTestKernel(ncpu int) *Kernel {
 	return NewKernel(Config{NCPU: ncpu})
 }
 
-// animate creates an LWP in p and runs body on a fresh goroutine as
-// its animator: Start, body, ExitLWP, with kernel unwinds recovered.
-// It returns the LWP and a channel closed when the animator is done.
-func animate(k *Kernel, p *Process, body func(l *LWP)) (*LWP, <-chan struct{}) {
-	l, err := k.NewLWP(p, ClassTS, defaultTSPrio)
-	if err != nil {
-		panic(err)
+// animate creates an LWP in p per body and runs each body on a fresh
+// goroutine as its animator: Start, body, ExitLWP, with kernel unwinds
+// recovered. Every LWP exists before any starts: a body that finishes
+// first would otherwise exit the process (its last LWP) under a later
+// NewLWP. It returns the first LWP and a channel closed when every
+// animator is done.
+func animate(k *Kernel, p *Process, bodies ...func(l *LWP)) (*LWP, <-chan struct{}) {
+	ls := make([]*LWP, len(bodies))
+	for i := range ls {
+		l, err := k.NewLWP(p, ClassTS, defaultTSPrio)
+		if err != nil {
+			panic(err)
+		}
+		ls[i] = l
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(bodies))
+	for i, body := range bodies {
+		go func(l *LWP) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil && !IsUnwind(r) {
+					panic(r)
+				}
+				k.ExitLWP(l)
+			}()
+			k.Start(l)
+			body(l)
+		}(ls[i])
 	}
 	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil && !IsUnwind(r) {
-				panic(r)
-			}
-			k.ExitLWP(l)
-		}()
-		k.Start(l)
-		body(l)
-	}()
-	return l, done
+	go func() { wg.Wait(); close(done) }()
+	return ls[0], done
 }
 
 func waitClosed(t *testing.T, ch <-chan struct{}, what string) {
@@ -76,10 +89,8 @@ func TestTwoLWPsShareOneCPU(t *testing.T) {
 			}
 		}
 	}
-	_, d1 := animate(k, p, mk(0))
-	_, d2 := animate(k, p, mk(1))
-	waitClosed(t, d1, "lwp1")
-	waitClosed(t, d2, "lwp2")
+	_, done := animate(k, p, mk(0), mk(1))
+	waitClosed(t, done, "both lwps")
 	if counts[0] != rounds || counts[1] != rounds {
 		t.Fatalf("counts = %v, want both %d", counts, rounds)
 	}
@@ -88,7 +99,6 @@ func TestTwoLWPsShareOneCPU(t *testing.T) {
 func TestAtMostNCPUOnCPU(t *testing.T) {
 	k := newTestKernel(2)
 	p := k.NewProcess("p", nil)
-	var dones []<-chan struct{}
 	// Track max concurrency via kernel state inspection at yields.
 	maxSeen := 0
 	check := func() {
@@ -107,18 +117,14 @@ func TestAtMostNCPUOnCPU(t *testing.T) {
 		}
 		k.mu.Unlock()
 	}
-	for i := 0; i < 6; i++ {
-		_, d := animate(k, p, func(l *LWP) {
-			for j := 0; j < 30; j++ {
-				check()
-				k.Yield(l)
-			}
-		})
-		dones = append(dones, d)
+	worker := func(l *LWP) {
+		for j := 0; j < 30; j++ {
+			check()
+			k.Yield(l)
+		}
 	}
-	for _, d := range dones {
-		waitClosed(t, d, "worker")
-	}
+	_, done := animate(k, p, worker, worker, worker, worker, worker, worker)
+	waitClosed(t, done, "workers")
 	if maxSeen == 0 {
 		t.Fatal("no concurrency observed")
 	}
@@ -484,22 +490,15 @@ func TestSIGWAITINGWhenAllLWPsBlockIndefinitely(t *testing.T) {
 	})
 	k.SetAction(p, SIGWAITING, SigCatch, func(Signal) {}, 0)
 	wq := NewWaitQ("poll")
-	var dones []<-chan struct{}
-	for i := 0; i < 2; i++ {
-		_, d := animate(k, p, func(l *LWP) {
-			k.Sleep(l, wq, SleepOpts{Indefinite: true})
-		})
-		dones = append(dones, d)
-	}
+	sleep := func(l *LWP) { k.Sleep(l, wq, SleepOpts{Indefinite: true}) }
+	_, done := animate(k, p, sleep, sleep)
 	select {
 	case <-notified:
 	case <-time.After(5 * time.Second):
 		t.Fatal("SIGWAITING hook never ran")
 	}
 	k.Wakeup(wq, -1)
-	for _, d := range dones {
-		waitClosed(t, d, "sleeper")
-	}
+	waitClosed(t, done, "sleepers")
 }
 
 func TestNoSIGWAITINGWhileOneLWPRuns(t *testing.T) {
@@ -513,11 +512,10 @@ func TestNoSIGWAITINGWhileOneLWPRuns(t *testing.T) {
 		}
 	})
 	wq := NewWaitQ("poll")
-	sleeper, d1 := animate(k, p, func(l *LWP) {
-		k.Sleep(l, wq, SleepOpts{Indefinite: true})
-	})
 	stop := make(chan struct{})
-	_, d2 := animate(k, p, func(l *LWP) {
+	sleeper, done := animate(k, p, func(l *LWP) {
+		k.Sleep(l, wq, SleepOpts{Indefinite: true})
+	}, func(l *LWP) {
 		for {
 			select {
 			case <-stop:
@@ -538,23 +536,20 @@ func TestNoSIGWAITINGWhileOneLWPRuns(t *testing.T) {
 	}
 	k.Wakeup(wq, -1)
 	close(stop)
-	waitClosed(t, d1, "sleeper")
-	waitClosed(t, d2, "runner")
+	waitClosed(t, done, "sleeper and runner")
 }
 
 func TestExitKillsAllLWPs(t *testing.T) {
 	k := newTestKernel(2)
 	p := k.NewProcess("p", nil)
 	wq := NewWaitQ("forever")
-	_, d1 := animate(k, p, func(l *LWP) {
+	_, done := animate(k, p, func(l *LWP) {
 		k.Sleep(l, wq, SleepOpts{})
-	})
-	_, d2 := animate(k, p, func(l *LWP) {
+	}, func(l *LWP) {
 		time.Sleep(2 * time.Millisecond)
 		k.Exit(l, 7)
 	})
-	waitClosed(t, d1, "sleeper unwound")
-	waitClosed(t, d2, "exiter")
+	waitClosed(t, done, "sleeper unwound, and exiter")
 	waitClosed(t, p.Exited(), "process")
 	if st, sig := p.ExitStatus(); st != 7 || sig != SIGNONE {
 		t.Fatalf("exit status = %d/%v, want 7/none", st, sig)
@@ -677,11 +672,10 @@ func TestExecTearsDownOtherLWPs(t *testing.T) {
 	k := newTestKernel(2)
 	p := k.NewProcess("p", nil)
 	wq := NewWaitQ("forever")
-	_, dOther := animate(k, p, func(l *LWP) {
-		k.Sleep(l, wq, SleepOpts{})
-	})
 	var newLWP *LWP
-	_, dExec := animate(k, p, func(l *LWP) {
+	_, done := animate(k, p, func(l *LWP) {
+		k.Sleep(l, wq, SleepOpts{})
+	}, func(l *LWP) {
 		time.Sleep(2 * time.Millisecond)
 		nl, err := k.Exec(l, "newimage")
 		if err != nil {
@@ -695,8 +689,7 @@ func TestExecTearsDownOtherLWPs(t *testing.T) {
 			k.Start(nl)
 		}()
 	})
-	waitClosed(t, dOther, "victim unwound by exec")
-	waitClosed(t, dExec, "execer")
+	waitClosed(t, done, "victim unwound by exec, and execer")
 	waitClosed(t, p.Exited(), "process")
 	if newLWP == nil {
 		t.Fatal("no new LWP from exec")

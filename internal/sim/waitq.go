@@ -278,11 +278,3 @@ func (k *Kernel) SyscallExit(l *LWP) {
 	l.inSyscall = false
 	k.checkpointLocked(l)
 }
-
-// InSyscall reports whether the LWP is currently inside a kernel call.
-func (l *LWP) InSyscall() bool {
-	k := l.proc.kern
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return l.inSyscall
-}

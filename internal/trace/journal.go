@@ -132,24 +132,28 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 			if len(f) != 6 {
 				return nil, fmt.Errorf("trace: journal line %d: bad event %q", lineno, line)
 			}
-			var iv [5]int64
-			for i := 0; i < 5; i++ {
-				v, err := strconv.ParseInt(f[i], 10, 64)
+			kind, err := strconv.ParseInt(f[0], 10, 64)
+			if err != nil || kind < 1 || kind >= int64(numEventKinds) {
+				return nil, fmt.Errorf("trace: journal line %d: bad event kind %q", lineno, f[0])
+			}
+			var iv [4]int32
+			for i := range iv {
+				v, err := strconv.ParseInt(f[1+i], 10, 32)
 				if err != nil {
 					return nil, fmt.Errorf("trace: journal line %d: bad event %q", lineno, line)
 				}
-				iv[i] = v
+				iv[i] = int32(v)
 			}
 			arg, err := strconv.ParseUint(f[5], 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("trace: journal line %d: bad event %q", lineno, line)
 			}
 			j.Events = append(j.Events, Record{
-				Kind: EventKind(iv[0]),
-				CPU:  int32(iv[1]),
-				PID:  int32(iv[2]),
-				LWP:  int32(iv[3]),
-				TID:  int32(iv[4]),
+				Kind: EventKind(kind),
+				CPU:  iv[0],
+				PID:  iv[1],
+				LWP:  iv[2],
+				TID:  iv[3],
 				Arg:  arg,
 			})
 		default:
@@ -172,16 +176,9 @@ func ReadJournalFile(path string) (*Journal, error) {
 	return ReadJournal(f)
 }
 
-// SchedKey renders the replay-comparable part of a record: everything
-// except Seq and When, which legitimately differ between a recording
-// and its replay.
-func SchedKey(r Record) string {
-	return fmt.Sprintf("%s cpu=%d pid=%d lwp=%d tid=%d arg=%d",
-		r.Kind, r.CPU, r.PID, r.LWP, r.TID, r.Arg)
-}
-
-// FirstEventDivergence compares two event sequences on their SchedKey
-// tuples and returns the index of the first mismatch (an index equal
+// FirstEventDivergence compares two event sequences on everything but
+// Seq and When, which legitimately differ between a recording and its
+// replay, and returns the index of the first mismatch (an index equal
 // to the shorter length when one is a strict prefix of the other), or
 // -1 when the schedules are identical.
 func FirstEventDivergence(a, b []Record) int {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +19,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	j.Events = []Record{
 		{Seq: 1, When: 5, Kind: EvDispatch, CPU: 0, PID: 1, LWP: 2, TID: 0, Arg: 30},
 		{Seq: 2, When: 9, Kind: EvWakeup, CPU: -1, PID: 1, LWP: 3, TID: 0, Arg: 0},
+	}
+	// Every lifecycle kind survives the round trip, extreme fields
+	// included.
+	for k := EvProcCreate; k < numEventKinds; k++ {
+		j.Events = append(j.Events, Record{Kind: k, CPU: -1, PID: 1<<31 - 1, LWP: -1 << 31, TID: 7, Arg: 1<<64 - 1})
 	}
 	var buf bytes.Buffer
 	if err := j.Write(&buf); err != nil {
@@ -38,7 +45,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("decision %d: %+v != %+v", i, got.Decisions[i], d)
 		}
 	}
-	if len(got.Events) != 2 {
+	if len(got.Events) != len(j.Events) {
 		t.Fatalf("events round trip: %+v", got.Events)
 	}
 	// Seq and When are deliberately not serialized.
@@ -89,6 +96,26 @@ func TestReadJournalRejectsGarbage(t *testing.T) {
 	} {
 		if _, err := ReadJournal(bytes.NewReader([]byte(in))); err == nil {
 			t.Fatalf("ReadJournal accepted %q", in)
+		}
+	}
+	// Out-of-range event fields are rejected with their line number,
+	// not silently truncated.
+	for _, ev := range []string{
+		"e 0 0 1 1 0 0",   // EvNone
+		"e 256 0 1 1 0 0", // wraps to EvNone as a uint8
+		fmt.Sprintf("e %d 0 1 1 0 0", numEventKinds), // one past the last kind
+		"e 1 2147483648 1 1 0 0",                     // CPU
+		"e 1 0 -2147483649 1 0 0",                    // PID
+		"e 1 0 1 4294967297 0 0",                     // LWP
+		"e 1 0 1 1 2147483648 0",                     // TID
+	} {
+		in := "sunosmt-journal v1\ne 1 0 1 1 0 0\n" + ev + "\n"
+		_, err := ReadJournal(bytes.NewReader([]byte(in)))
+		if err == nil {
+			t.Fatalf("ReadJournal accepted %q", ev)
+		}
+		if !strings.Contains(err.Error(), "line 3") {
+			t.Fatalf("error for %q does not name line 3: %v", ev, err)
 		}
 	}
 }

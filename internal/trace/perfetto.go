@@ -23,7 +23,11 @@ import (
 //     ThreadState the thread parked in) until its next run;
 //   - a "wakeups" track carrying one small slice per kernel wakeup,
 //     connected by a flow arrow to the dispatch that the wakeup led
-//     to, and global instants for fast-forward jumps.
+//     to, and global instants for fast-forward jumps;
+//   - process-scoped instants for the lifecycle kinds (proc create,
+//     fork, exec, exit, LWP create/exit, signal delivery, pool
+//     grow/age, pset bind, owner death), named by the kind and
+//     carrying its lwp, tid and arg.
 //
 // Timestamps come from Record.When (the virtual clock), so an export
 // of a fast-forwarded run shows the jumped-over idle time to scale.
@@ -142,12 +146,15 @@ func WritePerfetto(w io.Writer, recs []Record) error {
 			delete(cpuOpen, cpu)
 		}
 	}
-	nameThread := func(k pfThreadKey) {
-		if !namedProc[k.pid] {
-			namedProc[k.pid] = true
-			evs = append(evs, pfEvent{Name: "process_name", Ph: "M", Pid: int(k.pid),
-				Args: map[string]any{"name": fmt.Sprintf("proc %d", k.pid)}})
+	nameProc := func(pid int32) {
+		if !namedProc[pid] {
+			namedProc[pid] = true
+			evs = append(evs, pfEvent{Name: "process_name", Ph: "M", Pid: int(pid),
+				Args: map[string]any{"name": fmt.Sprintf("proc %d", pid)}})
 		}
+	}
+	nameThread := func(k pfThreadKey) {
+		nameProc(k.pid)
 		if !namedThr[k] {
 			namedThr[k] = true
 			evs = append(evs, pfEvent{Name: "thread_name", Ph: "M", Pid: int(k.pid),
@@ -211,6 +218,12 @@ func WritePerfetto(w io.Writer, recs []Record) error {
 			evs = append(evs, pfEvent{
 				Name: fmt.Sprintf("fast-forward +%v", time.Duration(r.Arg)),
 				Ph:   "i", S: "g", Ts: pfTS(r.When), Pid: pfCPUPid, Tid: wakeTid})
+		case EvProcCreate, EvFork, EvExec, EvProcExit, EvLWPCreate, EvLWPExit,
+			EvSignal, EvPoolGrow, EvPoolAge, EvPset, EvOwnerDead:
+			nameProc(r.PID)
+			evs = append(evs, pfEvent{Name: r.Kind.String(), Ph: "i", S: "p",
+				Ts: pfTS(r.When), Pid: int(r.PID),
+				Args: map[string]any{"lwp": r.LWP, "tid": r.TID, "arg": r.Arg}})
 		case EvThreadRun:
 			k := pfThreadKey{r.PID, r.TID}
 			nameThread(k)

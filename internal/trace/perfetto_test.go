@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -122,6 +123,29 @@ func TestWritePerfetto(t *testing.T) {
 	ffi := pfFilter(evs, "i", "fast-forward +1h0m0s")
 	if len(ffi) != 1 || ffi[0]["s"] != "g" {
 		t.Fatalf("fast-forward instants: %v", ffi)
+	}
+}
+
+// TestWritePerfettoLifecycle: every lifecycle kind exports as one
+// process-scoped instant named by the kind, on its process's track,
+// carrying its lwp, tid and arg unchanged.
+func TestWritePerfettoLifecycle(t *testing.T) {
+	var recs []Record
+	for k := EvProcCreate; k < numEventKinds; k++ {
+		recs = append(recs, Record{Seq: uint64(k), When: time.Duration(k) * time.Millisecond,
+			Kind: k, CPU: -1, PID: 4, LWP: 2, TID: 3, Arg: uint64(k) + 100})
+	}
+	var buf bytes.Buffer
+	if err := WritePerfetto(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	evs := pfDecode(t, buf.Bytes())
+	for _, r := range recs {
+		got := pfFilter(evs, "i", r.Kind.String())
+		if len(got) != 1 || got[0]["s"] != "p" || got[0]["pid"].(float64) != 4 || got[0]["ts"].(float64) != pfTS(r.When) ||
+			fmt.Sprint(got[0]["args"]) != fmt.Sprintf("map[arg:%d lwp:2 tid:3]", r.Arg) {
+			t.Fatalf("%v instants = %v", r.Kind, got)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"sunosmt/internal/sim"
+	"sunosmt/internal/trace"
 )
 
 // Kind tells the owner-death sweep which word layout a declared
@@ -122,10 +123,12 @@ func (r *Registry) SweepOwnerDead(pid sim.PID) {
 // operation on the variable.
 func (r *Registry) sweepVar(v *Var, kind Kind, pid sim.PID) {
 	swept := false
+	var opid sim.PID
+	var otid int
 	v.Atomically(func(w Words) {
 		switch kind {
 		case KindMutex:
-			opid, _ := DecodeOwner(w.Load(2))
+			opid, otid = DecodeOwner(w.Load(2))
 			if opid != pid || w.Load(0) == 0 {
 				return
 			}
@@ -133,7 +136,7 @@ func (r *Registry) sweepVar(v *Var, kind Kind, pid sim.PID) {
 			w.Store(2, 0)
 			w.Store(3, RobustOwnerDead)
 		case KindSema:
-			opid, _ := DecodeOwner(w.Load(1))
+			opid, otid = DecodeOwner(w.Load(1))
 			if opid != pid {
 				return
 			}
@@ -144,7 +147,7 @@ func (r *Registry) sweepVar(v *Var, kind Kind, pid sim.PID) {
 			w.Store(1, 0)
 			w.Store(2, RobustOwnerDead)
 		case KindRW:
-			opid, _ := DecodeOwner(w.Load(4))
+			opid, otid = DecodeOwner(w.Load(4))
 			if opid != pid {
 				return
 			}
@@ -162,9 +165,9 @@ func (r *Registry) sweepVar(v *Var, kind Kind, pid sim.PID) {
 			return
 		}
 		swept = true
-		r.kern.Trace().Add("usync", "pid %d died owning %s -> OWNERDEAD", pid, v.Name())
 	})
 	if swept {
+		r.kern.Rings().Record(-1, trace.EvOwnerDead, int(pid), 0, otid, uint64(kind))
 		v.Wake(-1)
 	}
 }

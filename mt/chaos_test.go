@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sunosmt/internal/chaos"
 	"sunosmt/internal/sim"
 )
 
@@ -478,13 +479,17 @@ func TestChaosSignalMasks(t *testing.T) {
 }
 
 // TestChaosJournalDeterminism: the acceptance pin — the same seed on
-// the same workload produces the identical chaos journal, so any
-// failing seed replays exactly. NCPU=1 with SIGWAITING growth off
-// keeps the whole run on one LWP, where every chaos decision point
-// is reached in a reproducible order.
+// the same workload records the identical schedule (every consulted
+// decision, inputs included), so any failing seed replays exactly.
+// NCPU=1 with SIGWAITING growth off keeps the whole run on one LWP,
+// where every chaos decision point is reached in a reproducible
+// order. (The real clock makes dispatch priorities, and so the ring
+// events, drift between runs; TestScheduleReplay pins those on a
+// frozen clock.)
 func TestChaosJournalDeterminism(t *testing.T) {
-	run := func() []string {
+	run := func() []ScheduleDecision {
 		src := NewChaos(42)
+		src.StartRecording()
 		sys := NewSystem(Options{
 			NCPU:             1,
 			Chaos:            src,
@@ -515,23 +520,25 @@ func TestChaosJournalDeterminism(t *testing.T) {
 		if counter != 200 {
 			t.Fatalf("counter = %d, want 200", counter)
 		}
-		var lines []string
-		for _, e := range src.Journal().Events() {
-			lines = append(lines, e.Kind+" "+e.Msg)
-		}
-		return lines
+		return src.Schedule().Decisions
 	}
 	a := run()
 	b := run()
-	if len(a) == 0 {
-		t.Fatal("seed 42 produced an empty chaos journal; nothing was explored")
+	perturbed := 0
+	for _, d := range a {
+		if chaos.Perturbed(d) {
+			perturbed++
+		}
+	}
+	if perturbed == 0 {
+		t.Fatal("seed 42 perturbed nothing; nothing was explored")
 	}
 	if len(a) != len(b) {
-		t.Fatalf("journal lengths differ across identical runs: %d vs %d", len(a), len(b))
+		t.Fatalf("schedule lengths differ across identical runs: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("journal diverges at event %d:\n  run1: %s\n  run2: %s", i, a[i], b[i])
+			t.Fatalf("schedule diverges at decision %d:\n  run1: %+v\n  run2: %+v", i, a[i], b[i])
 		}
 	}
 }

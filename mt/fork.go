@@ -105,7 +105,6 @@ func (p *Proc) Exec(t *Thread, name string, newMain Func, arg any) error {
 	p.AS.Reset()
 	p.PF.CloseOnExec()
 	newRT := core.NewRuntime(p.Sys.Kern, p.proc, core.Config{
-		Trace:      p.Sys.tr,
 		InitialLWP: nl,
 	})
 	p.RT = newRT

@@ -240,13 +240,11 @@ type Options struct {
 	Clock ktime.Clock
 	// TimeSlice enables kernel time slicing at preemption points.
 	TimeSlice time.Duration
-	// TraceCapacity enables a system-wide trace ring of the given
-	// size.
-	TraceCapacity int
-	// EventRing enables the per-CPU binary event rings with the
-	// given per-CPU capacity (rounded up to a power of two, minimum
-	// 64). Zero disables event tracing; the recording sites then
-	// cost nothing.
+	// EventRing enables the per-CPU binary event rings, the one
+	// event stream (scheduler and lifecycle events), with the given
+	// per-CPU capacity (rounded up to a power of two, minimum 64).
+	// Zero disables event tracing; the recording sites then cost
+	// nothing.
 	EventRing int
 	// SignalOnAnyBlock turns on the paper's proposed "signals on
 	// faster events" variant of SIGWAITING (see internal/sim).
@@ -267,8 +265,9 @@ type Options struct {
 	// spurious wakeups at library park sites, injected EINTR on
 	// interruptible kernel sleeps, early SIGWAITING, and timer
 	// jitter. Same seed, same machine, same workload structure —
-	// same decision sequence; Chaos.Journal() records every
-	// perturbation for replay. Build one with NewChaos or
+	// same decision sequence. Chaos.StartRecording before the run
+	// keeps every decision, and System.Schedule serializes them
+	// with the ring events for replay. Build one with NewChaos or
 	// chaos.New.
 	Chaos *ChaosSource
 	// FastForward selects the virtual fast-forward clock (ignored
@@ -316,7 +315,6 @@ type System struct {
 	Kern  *sim.Kernel
 	FS    *vfs.FS
 	Reg   *usync.Registry
-	tr    *trace.Buffer
 	rings *trace.Rings
 
 	lockPolicy LockPolicy // machine default; see Options.LockPolicy
@@ -324,7 +322,6 @@ type System struct {
 
 // NewSystem boots a machine.
 func NewSystem(o Options) *System {
-	var tr *trace.Buffer
 	clk := o.Clock
 	if clk == nil {
 		if o.FastForward {
@@ -345,10 +342,6 @@ func NewSystem(o Options) *System {
 		KernelSwitchCost: o.KernelSwitchCost,
 		BalancePeriod:    o.BalancePeriod,
 		Chaos:            o.Chaos,
-	}
-	if o.TraceCapacity > 0 {
-		tr = trace.New(o.TraceCapacity, clk.Now)
-		cfg.Trace = tr
 	}
 	var rings *trace.Rings
 	if o.EventRing > 0 {
@@ -371,16 +364,11 @@ func NewSystem(o Options) *System {
 		Kern:       k,
 		FS:         vfs.NewFS(k),
 		Reg:        usync.NewRegistry(k),
-		tr:         tr,
 		rings:      rings,
 		lockPolicy: o.LockPolicy,
 	}
 	return s
 }
-
-// Trace returns the system trace buffer (nil unless TraceCapacity was
-// set).
-func (s *System) Trace() *trace.Buffer { return s.tr }
 
 // Events returns the per-CPU binary event rings (nil unless EventRing
 // was set).
@@ -416,6 +404,17 @@ const (
 	EvSteal       = trace.EvSteal
 	EvBalance     = trace.EvBalance
 	EvFastForward = trace.EvFastForward
+	EvProcCreate  = trace.EvProcCreate
+	EvFork        = trace.EvFork
+	EvExec        = trace.EvExec
+	EvProcExit    = trace.EvProcExit
+	EvLWPCreate   = trace.EvLWPCreate
+	EvLWPExit     = trace.EvLWPExit
+	EvSignal      = trace.EvSignal
+	EvPoolGrow    = trace.EvPoolGrow
+	EvPoolAge     = trace.EvPoolAge
+	EvPset        = trace.EvPset
+	EvOwnerDead   = trace.EvOwnerDead
 )
 
 // Time-travel re-exports: schedule journals, replay, and trace export.
@@ -669,7 +668,6 @@ func (s *System) buildProc(kp *sim.Process, main Func, arg any, cfg ProcConfig, 
 		pol = s.lockPolicy
 	}
 	p.RT = core.NewRuntime(s.Kern, kp, core.Config{
-		Trace:                 s.tr,
 		MaxAutoLWPs:           cfg.MaxAutoLWPs,
 		DisableSigwaiting:     cfg.DisableSigwaiting,
 		DefaultStackSize:      cfg.DefaultStackSize,
