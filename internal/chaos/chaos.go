@@ -76,7 +76,7 @@ type Config struct {
 	// Sigwaiting posts SIGWAITING before the true all-LWPs-blocked
 	// condition holds, randomizing the pool-growth timing.
 	Sigwaiting int
-	// TimerJitter perturbs AfterFunc durations (through a
+	// TimerJitter perturbs timer arming durations (through a
 	// ktime.Jittered clock) by up to MaxTimerJitter in either
 	// direction.
 	TimerJitter    int
@@ -474,7 +474,7 @@ func (s *Source) StackFail() bool {
 }
 
 // Jitter perturbs a timer duration by up to ±MaxTimerJitter, never
-// below one nanosecond. ktime.Jittered calls it for every AfterFunc.
+// below one nanosecond. ktime.Jittered calls it for every timer arming.
 func (s *Source) Jitter(d time.Duration) time.Duration {
 	if s == nil || s.cfg.TimerJitter <= 0 || s.cfg.MaxTimerJitter <= 0 || d <= 0 {
 		return d

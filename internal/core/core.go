@@ -199,10 +199,11 @@ type Runtime struct {
 // poolLWP is one LWP dedicated to running unbound threads.
 type poolLWP struct {
 	l       *sim.LWP
-	back    chan struct{} // current thread returns control here
-	cur     *Thread       // guarded by Runtime.mu
-	die     atomic.Bool   // retire at next dispatch point
-	counted bool          // counted in Runtime.retiring; guarded by mu
+	back    chan struct{}   // current thread returns control here
+	cur     *Thread         // guarded by Runtime.mu
+	die     atomic.Bool     // retire at next dispatch point
+	counted bool            // counted in Runtime.retiring; guarded by mu
+	age     ktime.WaitTimer // idle age-out timer; guarded by mu
 
 	// fair makes this LWP's next pop use global FIFO-among-equals
 	// order instead of affinity-first, so a thr_yield lets every
@@ -466,23 +467,26 @@ func (m *Runtime) nextThread(pl *poolLWP) *Thread {
 		// LWPAgeTime is retired (ageOut re-checks eligibility under
 		// the lock, so a racing enqueue always wins). Chaos can
 		// expire the grace period immediately — early expiry is the
-		// safe direction, since SIGWAITING regrows the pool.
-		var ageTimer ktime.Timer
+		// safe direction, since SIGWAITING regrows the pool. The
+		// timer is the LWP's own, re-armed for every idle period.
 		if d := m.cfg.LWPAgeTime; d > 0 {
 			if m.kern.Chaos().AgeOutEarly() {
 				d = time.Nanosecond
 			}
-			ageTimer = m.kern.Clock().AfterFunc(d, func() { m.ageOut(pl) })
+			m.mu.Lock()
+			if !pl.age.Built() {
+				pl.age.Build(m.kern.Clock().NewTimer(func() { m.ageOut(pl) }))
+			}
+			pl.age.Arm(d)
+			m.mu.Unlock()
 		}
 		// Idle LWPs mask everything: an interrupt must be routed
 		// to an LWP that is executing a thread with the signal
 		// unmasked, never to an idle dispatcher.
 		m.kern.SetLWPMask(pl.l, sim.SigSetMask, allSigs)
 		m.kern.Park(pl.l)
-		if ageTimer != nil {
-			ageTimer.Stop()
-		}
 		m.mu.Lock()
+		pl.age.Close()
 		m.nparked--
 		// We may still be on the idle list if the unpark came
 		// from a permit; drop ourselves.
@@ -501,6 +505,10 @@ func (m *Runtime) nextThread(pl *poolLWP) *Thread {
 // enqueue can never hand work to a dying LWP (no lost wakeups).
 func (m *Runtime) ageOut(pl *poolLWP) {
 	m.mu.Lock()
+	if !pl.age.Expired() {
+		m.mu.Unlock()
+		return // a late call of an earlier idle period
+	}
 	idle := false
 	for i, x := range m.idle {
 		if x == pl {
@@ -707,7 +715,7 @@ func (m *Runtime) ensureGrowRetryLocked(d time.Duration) {
 		return
 	}
 	m.growRetryArmed = true
-	m.kern.Clock().AfterFunc(d, func() {
+	ktime.AfterFunc(m.kern.Clock(), d, func() {
 		m.mu.Lock()
 		m.growRetryArmed = false
 		m.mu.Unlock()

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"sunosmt/internal/ktime"
 	"sunosmt/internal/sim"
 	"sunosmt/internal/trace"
 )
@@ -178,6 +180,11 @@ type Thread struct {
 	// heldTs heads the list of turnstiles this thread owns (the
 	// locks it holds that track ownership); guarded by m.mu.
 	heldTs *Turnstile
+
+	// tp is the timed-park state (ParkTimed), built at the thread's
+	// first timed wait. It is kept across shell recycling with its
+	// timer, which may still owe a late call to a previous wait.
+	tp *timedPark
 
 	// All fields below are guarded by m.mu unless noted.
 	state      ThreadState
@@ -433,9 +440,18 @@ func (m *Runtime) uncreate(t *Thread) {
 // enqueue makes an unbound thread runnable and finds it an LWP.
 func (m *Runtime) enqueue(t *Thread) {
 	m.mu.Lock()
+	wake := m.enqueueLocked(t)
+	m.mu.Unlock()
+	if wake != nil {
+		m.kern.Unpark(wake.l)
+	}
+}
+
+// enqueueLocked makes t runnable and returns the idle pool LWP the
+// caller must unpark after dropping m.mu, if any. Caller holds m.mu.
+func (m *Runtime) enqueueLocked(t *Thread) *poolLWP {
 	if t.state == ThreadZombie || m.dying.Load() {
-		m.mu.Unlock()
-		return
+		return nil
 	}
 	t.state = ThreadRunnable
 	t.msSwitchLocked(m.kern.Clock().Now(), MSRunq)
@@ -449,10 +465,7 @@ func (m *Runtime) enqueue(t *Thread) {
 	} else {
 		m.flagPreemptionLocked(int(t.effPrio.Load()))
 	}
-	m.mu.Unlock()
-	if wake != nil {
-		m.kern.Unpark(wake.l)
-	}
+	return wake
 }
 
 // flagPreemptionLocked marks the lowest-effective-priority running
@@ -698,16 +711,21 @@ func (m *Runtime) unparkInto(t *Thread) {
 		m.kern.Unpark(t.bndLWP)
 		return
 	}
+	// The state check and the enqueue share one critical section: two
+	// racing unparks of a parked thread must enqueue it once and leave
+	// the other wake as a permit, not push it on the run queue twice.
 	m.mu.Lock()
+	var wake *poolLWP
 	switch t.state {
 	case ThreadSleeping, ThreadWaiting:
-		m.mu.Unlock()
-		m.enqueue(t)
+		wake = m.enqueueLocked(t)
 	case ThreadZombie:
-		m.mu.Unlock()
 	default:
 		t.wakePermit = true
-		m.mu.Unlock()
+	}
+	m.mu.Unlock()
+	if wake != nil {
+		m.kern.Unpark(wake.l)
 	}
 }
 
@@ -799,6 +817,89 @@ func (m *Runtime) unparkBatch(ts []*Thread) {
 // object until Unpark. For an unbound thread this switches to another
 // thread with no kernel involvement.
 func (t *Thread) Park() { t.parkSelf(ThreadSleeping) }
+
+// Dequeuer removes a parked thread from the wait queue of the object
+// it parked on. A primitive hands one to ParkTimed; it is typically
+// the primitive itself under another method set, so arming a timed
+// wait builds no closure.
+type Dequeuer interface {
+	// Dequeue removes t under the object's own lock and reports
+	// whether t was still queued. False means a real wake already
+	// took t off the queue.
+	Dequeue(t *Thread) bool
+}
+
+// timedPark is a thread's timed-wait state: one timer, built at the
+// first timed wait and re-armed by every later one under the
+// generation rule of ktime.WaitTimer, so a late call of an earlier
+// wait can never dequeue or unpark the thread out of a later one,
+// whatever primitive that wait is on.
+type timedPark struct {
+	mu    sync.Mutex
+	timer ktime.WaitTimer
+	dq    Dequeuer // the open wait's queue
+	fired bool     // the open wait's timer dequeued the thread
+}
+
+// ParkTimed is Park with a deadline on the kernel clock. The caller
+// has queued t on a primitive whose Dequeue is dq. If the deadline
+// passes while t is still queued, the timer dequeues and unparks it
+// and ParkTimed reports true (timed out). A real wake that pops t
+// first keeps its normal meaning: the timer's dequeue fails and
+// ParkTimed reports false. In steady state a timed wait allocates
+// nothing.
+func (t *Thread) ParkTimed(deadline time.Duration, dq Dequeuer) (timedOut bool) {
+	clk := t.m.kern.Clock()
+	rem := deadline - clk.Now()
+	if rem <= 0 {
+		if dq.Dequeue(t) {
+			return true
+		}
+		// Already woken for real: consume the wake.
+		t.Park()
+		return false
+	}
+	tp := t.tp
+	if tp == nil {
+		tp = &timedPark{}
+		t.tp = tp
+	}
+	tp.mu.Lock()
+	if !tp.timer.Built() {
+		tp.timer.Build(clk.NewTimer(func() { t.parkTimeout(tp) }))
+	}
+	tp.dq, tp.fired = dq, false
+	tp.timer.Arm(rem)
+	tp.mu.Unlock()
+	// Deferred so a kernel unwind through the park (process death)
+	// also stops the timer.
+	defer func() { timedOut = tp.close() }()
+	t.Park()
+	return false
+}
+
+// close ends the open timed wait and reports whether its timer fired
+// and dequeued the thread.
+func (tp *timedPark) close() bool {
+	tp.mu.Lock()
+	tp.timer.Close()
+	tp.dq = nil
+	fired := tp.fired
+	tp.mu.Unlock()
+	return fired
+}
+
+// parkTimeout is the timed-park timer's call.
+func (t *Thread) parkTimeout(tp *timedPark) {
+	tp.mu.Lock()
+	if !tp.timer.Expired() || !tp.dq.Dequeue(t) {
+		tp.mu.Unlock()
+		return
+	}
+	tp.fired = true
+	tp.mu.Unlock()
+	t.Unpark()
+}
 
 // Yield gives up the processor to a higher- or equal-priority thread,
 // if any (thr_yield). For an unbound thread this is a pure user-level

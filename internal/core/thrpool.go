@@ -173,10 +173,10 @@ func (m *Runtime) allocThreadLocked() *Thread {
 
 // scrubLocked resets a recycled shell to the zero state a fresh
 // Thread{} would have, preserving only the reusable allocations: the
-// gate channel, the wait channel, and the aux block with its TSD
-// slice. The TSD slice is cleared across its FULL capacity — a later
-// SetSpecific regrows it with s[:n], which must never expose a
-// predecessor's values.
+// gate channel, the wait channel, the timed-park state with its timer,
+// and the aux block with its TSD slice. The TSD slice is cleared
+// across its FULL capacity — a later SetSpecific regrows it with
+// s[:n], which must never expose a predecessor's values.
 func (t *Thread) scrubLocked() {
 	// Drain a stale wake permit left in the gate by a late unpark.
 	select {
@@ -196,9 +196,9 @@ func (t *Thread) scrubLocked() {
 	tsd = tsd[:cap(tsd)]
 	clear(tsd)
 	*aux = threadAux{tsd: tsd[:0]}
-	gate, wc := t.gate, t.waitWC
+	gate, wc, tp := t.gate, t.waitWC, t.tp
 	*t = Thread{}
-	t.gate, t.waitWC, t.aux = gate, wc, aux
+	t.gate, t.waitWC, t.aux, t.tp = gate, wc, aux, tp
 }
 
 // startAnimator gives a first-dispatched unbound thread its animator

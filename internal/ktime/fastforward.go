@@ -37,7 +37,7 @@ type FastForward struct {
 
 	mu     sync.Mutex
 	seq    uint64
-	timers ffHeap
+	timers timerHeap
 	host   *time.Timer   // armed for the earliest wall deadline
 	hostAt time.Duration // virtual deadline the host timer is armed for
 
@@ -67,19 +67,28 @@ func (ff *FastForward) Now() time.Duration {
 	return time.Since(ff.boot) + time.Duration(ff.skip.Load())
 }
 
-// AfterFunc implements Clock. Arming a timer kicks the advancer, so a
+// NewTimer implements Clock. Arming a timer kicks the advancer, so a
 // timer armed while the system is already idle (including from inside
 // another timer's callback during a jump) is immediately eligible to
 // be leapt to.
-func (ff *FastForward) AfterFunc(d time.Duration, fn func()) Timer {
+func (ff *FastForward) NewTimer(fn func()) Timer {
+	return &heapTimer{owner: ff, fn: fn, index: -1}
+}
+
+func (ff *FastForward) reset(t *heapTimer, d time.Duration) bool {
 	ff.mu.Lock()
 	ff.seq++
-	t := &ffTimer{owner: ff, when: ff.Now() + d, seq: ff.seq, fn: fn}
-	heap.Push(&ff.timers, t)
+	pending := ff.timers.arm(t, ff.Now()+d, ff.seq)
 	ff.rearmHostLocked()
 	ff.mu.Unlock()
 	ff.Kick()
-	return t
+	return pending
+}
+
+func (ff *FastForward) stop(t *heapTimer) bool {
+	ff.mu.Lock()
+	defer ff.mu.Unlock()
+	return ff.timers.cancel(t)
 }
 
 // SetIdle registers the predicate consulted before every jump: it must
@@ -142,13 +151,7 @@ func (ff *FastForward) Stats() (jumps uint64, skipped time.Duration) {
 func (ff *FastForward) PendingTimers() int {
 	ff.mu.Lock()
 	defer ff.mu.Unlock()
-	n := 0
-	for _, t := range ff.timers {
-		if !t.stopped {
-			n++
-		}
-	}
-	return n
+	return len(ff.timers)
 }
 
 // advanceLoop drains pending kicks, jumping and firing until the
@@ -179,9 +182,6 @@ func (ff *FastForward) step() bool {
 		return false
 	}
 	ff.mu.Lock()
-	for len(ff.timers) > 0 && ff.timers[0].stopped {
-		heap.Pop(&ff.timers)
-	}
 	if len(ff.timers) == 0 {
 		ff.mu.Unlock()
 		return false
@@ -223,15 +223,10 @@ func (ff *FastForward) hostFire() {
 func (ff *FastForward) fireDueLocked() bool {
 	fired := false
 	for len(ff.timers) > 0 && ff.timers[0].when <= ff.Now() {
-		t := heap.Pop(&ff.timers).(*ffTimer)
-		if t.stopped {
-			continue
-		}
-		t.fired = true
+		t := heap.Pop(&ff.timers).(*heapTimer)
 		fired = true
-		fn := t.fn
 		ff.mu.Unlock()
-		fn()
+		t.fn()
 		ff.mu.Lock()
 	}
 	return fired
@@ -240,9 +235,6 @@ func (ff *FastForward) fireDueLocked() bool {
 // rearmHostLocked points the single host timer at the earliest
 // pending deadline so unskipped waits still fire in real time.
 func (ff *FastForward) rearmHostLocked() {
-	for len(ff.timers) > 0 && ff.timers[0].stopped {
-		heap.Pop(&ff.timers)
-	}
 	if len(ff.timers) == 0 {
 		if ff.host != nil {
 			ff.host.Stop()
@@ -261,56 +253,6 @@ func (ff *FastForward) rearmHostLocked() {
 		ff.host.Reset(d)
 	}
 	ff.hostAt = when
-}
-
-type ffTimer struct {
-	owner   *FastForward
-	when    time.Duration
-	seq     uint64
-	fn      func()
-	index   int
-	stopped bool
-	fired   bool
-}
-
-// Stop implements Timer.
-func (t *ffTimer) Stop() bool {
-	t.owner.mu.Lock()
-	defer t.owner.mu.Unlock()
-	if t.fired || t.stopped {
-		return false
-	}
-	t.stopped = true
-	return true
-}
-
-// ffHeap orders timers by deadline, FIFO among equals (same contract
-// as the Manual clock's heap).
-type ffHeap []*ffTimer
-
-func (h ffHeap) Len() int { return len(h) }
-func (h ffHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h ffHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *ffHeap) Push(x any) {
-	t := x.(*ffTimer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-func (h *ffHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
 }
 
 // FastForwardOf returns the fast-forward clock underneath c, looking

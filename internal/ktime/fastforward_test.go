@@ -31,11 +31,14 @@ func alwaysIdle() bool { return true }
 // clock lands past the last deadline.
 func TestFastForwardJumpsIdleTime(t *testing.T) {
 	ff := NewFastForward()
-	ff.SetIdle(alwaysIdle)
 	ch := make(chan int, 8)
-	ff.AfterFunc(3*time.Hour, func() { ch <- 3 })
-	ff.AfterFunc(1*time.Hour, func() { ch <- 1 })
-	ff.AfterFunc(2*time.Hour, func() { ch <- 2 })
+	AfterFunc(ff, 3*time.Hour, func() { ch <- 3 })
+	AfterFunc(ff, 1*time.Hour, func() { ch <- 1 })
+	AfterFunc(ff, 2*time.Hour, func() { ch <- 2 })
+	// Go idle only once all three are armed: idle from the start, the
+	// advancer could leap to the 3h timer before the others exist.
+	ff.SetIdle(alwaysIdle)
+	ff.Kick()
 	got := collect(t, ch, 3)
 	for i, want := range []int{1, 2, 3} {
 		if got[i] != want {
@@ -59,7 +62,7 @@ func TestFastForwardIdenticalDeadlines(t *testing.T) {
 	const when = time.Hour
 	for i := 0; i < 5; i++ {
 		i := i
-		ff.AfterFunc(when, func() { ch <- i })
+		AfterFunc(ff, when, func() { ch <- i })
 	}
 	got := collect(t, ch, 5)
 	for i := range got {
@@ -82,10 +85,10 @@ func TestFastForwardArmDuringJump(t *testing.T) {
 		n := int(step.Add(1))
 		ch <- n
 		if n < 4 {
-			ff.AfterFunc(time.Duration(n)*time.Hour, chain)
+			AfterFunc(ff, time.Duration(n)*time.Hour, chain)
 		}
 	}
-	ff.AfterFunc(time.Hour, chain)
+	AfterFunc(ff, time.Hour, chain)
 	got := collect(t, ch, 4)
 	for i := range got {
 		if got[i] != i+1 {
@@ -104,7 +107,7 @@ func TestFastForwardDisableMidRun(t *testing.T) {
 	ff.SetIdle(alwaysIdle)
 	ch := make(chan int, 1)
 	ff.SetEnabled(false)
-	ff.AfterFunc(time.Hour, func() { ch <- 1 })
+	AfterFunc(ff, time.Hour, func() { ch <- 1 })
 	select {
 	case <-ch:
 		t.Fatal("timer fired while fast-forward was disabled")
@@ -123,8 +126,8 @@ func TestFastForwardNotIdleMeansRealTime(t *testing.T) {
 	busy.Store(true)
 	ff.SetIdle(func() bool { return !busy.Load() })
 	ch := make(chan int, 2)
-	ff.AfterFunc(time.Hour, func() { ch <- 99 })
-	ff.AfterFunc(10*time.Millisecond, func() { ch <- 1 })
+	AfterFunc(ff, time.Hour, func() { ch <- 99 })
+	AfterFunc(ff, 10*time.Millisecond, func() { ch <- 1 })
 	start := time.Now()
 	got := collect(t, ch, 1)
 	if got[0] != 1 {
@@ -146,8 +149,8 @@ func TestFastForwardNotIdleMeansRealTime(t *testing.T) {
 func TestFastForwardStopDuringIdle(t *testing.T) {
 	ff := NewFastForward()
 	ch := make(chan int, 2)
-	tm := ff.AfterFunc(time.Hour, func() { ch <- 1 })
-	ff.AfterFunc(2*time.Hour, func() { ch <- 2 })
+	tm := AfterFunc(ff, time.Hour, func() { ch <- 1 })
+	AfterFunc(ff, 2*time.Hour, func() { ch <- 2 })
 	if !tm.Stop() {
 		t.Fatal("Stop() = false for a pending timer")
 	}
@@ -179,8 +182,8 @@ func TestFastForwardJitterInteraction(t *testing.T) {
 	ff.SetIdle(alwaysIdle)
 	ch := make(chan int, 4)
 	// 4h jittered to 2h fires before an unjittered 3h timer.
-	jit.AfterFunc(4*time.Hour, func() { ch <- 4 })
-	ff.AfterFunc(3*time.Hour, func() { ch <- 3 })
+	AfterFunc(jit, 4*time.Hour, func() { ch <- 4 })
+	AfterFunc(ff, 3*time.Hour, func() { ch <- 3 })
 	got := collect(t, ch, 2)
 	if got[0] != 4 || got[1] != 3 {
 		t.Fatalf("firing order %v, want [4 3] (jitter halves the 4h arm)", got)

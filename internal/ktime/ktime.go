@@ -12,25 +12,108 @@ package ktime
 
 import (
 	"container/heap"
+	"math"
 	"sync"
 	"time"
 )
 
-// Clock provides monotonic time since boot and one-shot timers.
+// Clock provides monotonic time since boot and re-armable one-shot
+// timers.
 type Clock interface {
 	// Now reports the time elapsed since the clock was created.
 	Now() time.Duration
-	// AfterFunc arranges for fn to be called once d has elapsed and
-	// returns a Timer that can cancel the call. fn runs on an
-	// unspecified goroutine and must not block.
-	AfterFunc(d time.Duration, fn func()) Timer
+	// NewTimer returns an unarmed Timer that calls fn each time an
+	// arming (Reset) expires. fn runs on an unspecified goroutine and
+	// must not block. A timer is built once and re-armed for every
+	// wait, so a blocking path that times out pays no allocation per
+	// wait.
+	NewTimer(fn func()) Timer
 }
 
-// Timer is a cancellable pending call created by Clock.AfterFunc.
+// Timer is a re-armable pending call created by Clock.NewTimer.
+//
+// Every arming that is not cancelled by Stop or replaced by Reset
+// before it expires produces exactly one call of the timer's
+// function. A call whose arming expired is not recalled: it may still
+// be running, or about to run, after a later Reset or Stop returns.
+// A timer re-armed for successive waits must therefore tell such late
+// calls apart from the current wait's own (see WaitTimer).
 type Timer interface {
-	// Stop cancels the timer. It reports whether the call was
-	// prevented from running.
+	// Reset arms the timer to fire once d has elapsed, replacing a
+	// pending arming. It reports whether an arming was pending. A
+	// zero or negative d fires as soon as the clock allows.
+	Reset(d time.Duration) bool
+	// Stop cancels the pending arming, if any. It reports whether
+	// the call was prevented from running.
 	Stop() bool
+}
+
+// AfterFunc arms a fresh timer on c that calls fn once d has elapsed.
+// It is NewTimer plus Reset, the one arming path every clock shares.
+func AfterFunc(c Clock, d time.Duration, fn func()) Timer {
+	t := c.NewTimer(fn)
+	t.Reset(d)
+	return t
+}
+
+// WaitTimer is one timeout timer re-armed by the successive waits of a
+// single sleeper (a thread, an LWP), so a timed wait allocates nothing
+// once the timer is built.
+//
+// Generation rule. A timer call carries no token saying which arming
+// it belongs to, and one may run after its own wait returned (the
+// arming expired just as a real wake arrived). WaitTimer counts
+// armings (gen) and settled armings (the call ran, or Stop cancelled
+// the arming). Each call settles one arming and belongs to the open
+// wait only if it settles the last one while that wait is still open;
+// any other call is a late call of an earlier wait, always a
+// generation behind, and must not touch the current one. Calls may
+// even run out of order: whichever call is credited to the current
+// arming runs no earlier than that arming's own expiry.
+//
+// WaitTimer has no lock of its own: every method is called under the
+// sleeper's lock, which the timer's function takes before Expired.
+type WaitTimer struct {
+	timer   Timer
+	gen     uint64
+	settled uint64
+	open    bool
+}
+
+// Built reports whether the timer has been built.
+func (w *WaitTimer) Built() bool { return w.timer != nil }
+
+// Build installs the timer, made with Clock.NewTimer, at the
+// sleeper's first timed wait.
+func (w *WaitTimer) Build(t Timer) { w.timer = t }
+
+// Arm opens a wait that times out after d. A still-pending arming
+// that Reset replaces will never call back, so it is settled here.
+func (w *WaitTimer) Arm(d time.Duration) {
+	w.gen++
+	w.open = true
+	if w.timer.Reset(d) {
+		w.settled++
+	}
+}
+
+// Close ends the open wait, if any. An arming that Stop cancels will
+// never call back, so it is settled here.
+func (w *WaitTimer) Close() {
+	if !w.open {
+		return
+	}
+	w.open = false
+	if w.timer.Stop() {
+		w.settled++
+	}
+}
+
+// Expired settles one arming on behalf of a timer call and reports
+// whether the call is the open wait's own timeout.
+func (w *WaitTimer) Expired() bool {
+	w.settled++
+	return w.open && w.settled == w.gen
 }
 
 // Real is a Clock backed by the machine's monotonic clock.
@@ -47,14 +130,17 @@ func NewReal() *Real {
 // Now implements Clock.
 func (r *Real) Now() time.Duration { return time.Since(r.boot) }
 
-// AfterFunc implements Clock.
-func (r *Real) AfterFunc(d time.Duration, fn func()) Timer {
-	return realTimer{time.AfterFunc(d, fn)}
+// NewTimer implements Clock with a host timer created stopped.
+func (r *Real) NewTimer(fn func()) Timer {
+	t := time.AfterFunc(time.Duration(math.MaxInt64), fn)
+	t.Stop()
+	return realTimer{t}
 }
 
 type realTimer struct{ t *time.Timer }
 
-func (rt realTimer) Stop() bool { return rt.t.Stop() }
+func (rt realTimer) Reset(d time.Duration) bool { return rt.t.Reset(d) }
+func (rt realTimer) Stop() bool                 { return rt.t.Stop() }
 
 // Manual is a deterministic Clock driven by explicit Advance calls.
 // It never moves on its own, which makes time-dependent kernel
@@ -87,70 +173,68 @@ func (m *Manual) Advance(d time.Duration) {
 	}
 	m.mu.Lock()
 	target := m.now + d
-	for {
-		if len(m.timers) == 0 || m.timers[0].when > target {
-			break
-		}
-		t := heap.Pop(&m.timers).(*manualTimer)
-		if t.stopped {
-			continue
-		}
+	for len(m.timers) > 0 && m.timers[0].when <= target {
+		t := heap.Pop(&m.timers).(*heapTimer)
 		m.now = t.when
-		fn := t.fn
-		t.fired = true
 		m.mu.Unlock()
-		fn()
+		t.fn()
 		m.mu.Lock()
 	}
 	m.now = target
 	m.mu.Unlock()
 }
 
-// AfterFunc implements Clock. A zero or negative d fires on the next
-// Advance call (including Advance(0)).
-func (m *Manual) AfterFunc(d time.Duration, fn func()) Timer {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.seq++
-	t := &manualTimer{owner: m, when: m.now + d, seq: m.seq, fn: fn}
-	heap.Push(&m.timers, t)
-	return t
+// NewTimer implements Clock. An arming with zero or negative d fires
+// on the next Advance call (including Advance(0)).
+func (m *Manual) NewTimer(fn func()) Timer {
+	return &heapTimer{owner: m, fn: fn, index: -1}
 }
 
 // PendingTimers reports how many timers are armed and not yet fired.
 func (m *Manual) PendingTimers() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, t := range m.timers {
-		if !t.stopped {
-			n++
-		}
-	}
-	return n
+	return len(m.timers)
 }
 
-type manualTimer struct {
-	owner   *Manual
-	when    time.Duration
-	seq     uint64
-	fn      func()
-	index   int
-	stopped bool
-	fired   bool
+// heapTimer is one re-armable timer of a clock that keeps its pending
+// armings in a deadline heap (Manual, FastForward). index is its heap
+// slot while an arming is pending and -1 otherwise; stopped and fired
+// timers leave the heap at once, so a re-armed timer is never queued
+// twice.
+type heapTimer struct {
+	owner timerOwner
+	when  time.Duration
+	seq   uint64
+	fn    func()
+	index int
 }
 
-func (t *manualTimer) Stop() bool {
-	t.owner.mu.Lock()
-	defer t.owner.mu.Unlock()
-	if t.fired || t.stopped {
-		return false
-	}
-	t.stopped = true
-	return true
+// timerOwner is the clock side of a heapTimer.
+type timerOwner interface {
+	reset(t *heapTimer, d time.Duration) bool
+	stop(t *heapTimer) bool
 }
 
-type timerHeap []*manualTimer
+func (t *heapTimer) Reset(d time.Duration) bool { return t.owner.reset(t, d) }
+func (t *heapTimer) Stop() bool                 { return t.owner.stop(t) }
+
+func (m *Manual) reset(t *heapTimer, d time.Duration) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.seq++
+	return m.timers.arm(t, m.now+d, m.seq)
+}
+
+func (m *Manual) stop(t *heapTimer) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.timers.cancel(t)
+}
+
+// timerHeap orders pending timers by deadline, FIFO among equal
+// deadlines (arming sequence).
+type timerHeap []*heapTimer
 
 func (h timerHeap) Len() int { return len(h) }
 func (h timerHeap) Less(i, j int) bool {
@@ -164,7 +248,7 @@ func (h timerHeap) Swap(i, j int) {
 	h[i].index, h[j].index = i, j
 }
 func (h *timerHeap) Push(x any) {
-	t := x.(*manualTimer)
+	t := x.(*heapTimer)
 	t.index = len(*h)
 	*h = append(*h, t)
 }
@@ -173,22 +257,46 @@ func (h *timerHeap) Pop() any {
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
+	t.index = -1
 	*h = old[:n-1]
 	return t
+}
+
+// arm sets t's deadline, queueing it or moving it within the heap;
+// it reports whether t was already pending.
+func (h *timerHeap) arm(t *heapTimer, when time.Duration, seq uint64) bool {
+	t.when, t.seq = when, seq
+	if t.index >= 0 {
+		heap.Fix(h, t.index)
+		return true
+	}
+	heap.Push(h, t)
+	return false
+}
+
+// cancel removes t if it is pending and reports whether it was.
+func (h *timerHeap) cancel(t *heapTimer) bool {
+	if t.index < 0 {
+		return false
+	}
+	heap.Remove(h, t.index)
+	return true
 }
 
 // Sleep blocks the calling goroutine until d has elapsed on c.
 func Sleep(c Clock, d time.Duration) {
 	ch := make(chan struct{})
-	c.AfterFunc(d, func() { close(ch) })
+	AfterFunc(c, d, func() { close(ch) })
 	<-ch
 }
 
-// Jittered wraps a Clock so that every AfterFunc duration is passed
-// through a perturbation function before arming. Now is unperturbed:
-// only the firing time of timers moves, which is how the chaos layer
+// Jittered wraps a Clock so that every arming's duration is passed
+// through a perturbation function first. Now is unperturbed: only the
+// firing time of timers moves, which is how the chaos layer
 // randomizes timeout and time-slice arrival without breaking monotonic
-// time. A nil jitter function makes the wrapper transparent.
+// time. Each Reset consults the perturbation exactly once, so a
+// re-armed timer draws one decision per arming, like a fresh one. A
+// nil jitter function makes the wrapper transparent.
 type Jittered struct {
 	base   Clock
 	jitter func(time.Duration) time.Duration
@@ -205,10 +313,22 @@ func (j *Jittered) Base() Clock { return j.base }
 // Now implements Clock.
 func (j *Jittered) Now() time.Duration { return j.base.Now() }
 
-// AfterFunc implements Clock, perturbing d.
-func (j *Jittered) AfterFunc(d time.Duration, fn func()) Timer {
-	if j.jitter != nil {
-		d = j.jitter(d)
-	}
-	return j.base.AfterFunc(d, fn)
+// NewTimer implements Clock: the timer arms the base clock's timer
+// with perturbed durations.
+func (j *Jittered) NewTimer(fn func()) Timer {
+	return &jitteredTimer{base: j.base.NewTimer(fn), jitter: j.jitter}
 }
+
+type jitteredTimer struct {
+	base   Timer
+	jitter func(time.Duration) time.Duration
+}
+
+func (jt *jitteredTimer) Reset(d time.Duration) bool {
+	if jt.jitter != nil {
+		d = jt.jitter(d)
+	}
+	return jt.base.Reset(d)
+}
+
+func (jt *jitteredTimer) Stop() bool { return jt.base.Stop() }

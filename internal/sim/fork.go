@@ -180,6 +180,17 @@ type WaitResult struct {
 	DumpedCore bool
 }
 
+// hasZombieLocked reports whether p has a zombie child that a wait for
+// pid (< 0: any child) would reap. Caller holds Kernel.mu.
+func (p *Process) hasZombieLocked(pid PID) bool {
+	for _, z := range p.zombies {
+		if pid < 0 || z.pid == pid {
+			return true
+		}
+	}
+	return false
+}
+
 // WaitChild blocks until a child of the calling LWP's process exits,
 // reaps it, and returns its status, like waitpid(2). pid < 0 waits
 // for any child. The wait is interruptible and indefinite (it counts
@@ -223,7 +234,10 @@ func (k *Kernel) WaitChild(l *LWP, pid PID) (WaitResult, error) {
 			// and no matching zombie appeared on re-check.
 			return WaitResult{}, ErrIntr
 		}
-		res := k.Sleep(l, &p.waitq, SleepOpts{Interruptible: true, Indefinite: true})
+		// Sleep only while no matching zombie exists, checked under
+		// the kernel lock as the LWP queues: a child that exits
+		// between the scan above and the sleep is then never missed.
+		res, _ := k.SleepIf(l, &p.waitq, func() bool { return !p.hasZombieLocked(pid) }, SleepOpts{Interruptible: true, Indefinite: true})
 		// On interruption, loop once more to re-check the zombie
 		// list: the interrupting signal is frequently the SIGCHLD
 		// for the very child we are waiting for.

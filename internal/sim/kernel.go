@@ -966,10 +966,7 @@ func (k *Kernel) ExitLWP(l *LWP) {
 		l.ps.nbound--
 		l.psBound = false
 	}
-	if l.sleepTimer != nil {
-		l.sleepTimer.Stop()
-		l.sleepTimer = nil
-	}
+	l.sleepTimer.Close()
 	k.setLWPStateLocked(l, now, LWPZombie)
 	p.deadUser += l.userTime
 	p.deadSys += l.sysTime

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sunosmt/internal/ktime"
 )
 
 // LWPID identifies an LWP within its process. There is no system-wide
@@ -92,8 +94,8 @@ type LWP struct {
 	gang       int // gang group id when class == ClassGang, else 0
 	cpu        *CPU
 	boundCPU   *CPU
-	ps         *pset // processor set the LWP runs in (default set if unbound)
-	psBound    bool  // explicitly bound to a user pset (counts in pset.nbound)
+	ps         *pset      // processor set the LWP runs in (default set if unbound)
+	psBound    bool       // explicitly bound to a user pset (counts in pset.nbound)
 	cond       *sync.Cond // signalled when state changes to OnCPU or wake conditions
 	preempt    bool       // yield CPU at next checkpoint
 	onCPUSince time.Duration
@@ -125,11 +127,15 @@ type LWP struct {
 	wqPrev        *LWP
 	wakeRes       WakeResult
 	woken         bool
-	sleepTimer    interface{ Stop() bool }
 	parkPermit    bool
 	indefinite    bool
 	interruptible bool
 	sigDelivered  Signal // set when a SigWait is satisfied
+
+	// sleepTimer times out the LWP's timed sleeps: built at its
+	// first one and re-armed by every later one, so a timed sleep
+	// allocates nothing. Guarded by Kernel.mu.
+	sleepTimer ktime.WaitTimer
 
 	// Signal state; guarded by Kernel.mu. Per the paper each LWP
 	// has its own signal mask; the threads library points it at the

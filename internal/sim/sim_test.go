@@ -927,3 +927,53 @@ func TestSleepForManualClock(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTimedSleepIfZeroAlloc pins the kernel's timed sleep at zero
+// allocations in steady state: each LWP re-arms its one sleep timer
+// instead of building a timer and closure per sleep. Two LWPs hand a
+// turn back and forth through timed SleepIf calls that are woken for
+// real, then one LWP sleeps until its timer fires.
+func TestTimedSleepIfZeroAlloc(t *testing.T) {
+	k := newTestKernel(2)
+	p := k.NewProcess("p", nil)
+	wa, wb := NewWaitQ("a"), NewWaitQ("b")
+	var turn atomic.Int32
+	var stop atomic.Bool
+	opts := SleepOpts{Timeout: time.Hour}
+	pin := func(what string, cycle func()) {
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
+		if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
+			t.Errorf("%s allocates %.2f objects/op, want 0", what, avg)
+		}
+	}
+	_, done := animate(k, p, func(l *LWP) {
+		pin("woken timed sleep", func() {
+			turn.Store(1)
+			k.Wakeup(wb, 1)
+			for turn.Load() != 0 {
+				k.SleepIf(l, wa, func() bool { return turn.Load() != 0 }, opts)
+			}
+		})
+		pin("timed-out sleep", func() {
+			if res := k.Sleep(l, wa, SleepOpts{Timeout: time.Microsecond}); res != WakeTimeout {
+				t.Errorf("sleep woke with %v, want WakeTimeout", res)
+			}
+		})
+		stop.Store(true)
+		k.Wakeup(wb, 1)
+	}, func(l *LWP) {
+		for {
+			for turn.Load() != 1 && !stop.Load() {
+				k.SleepIf(l, wb, func() bool { return turn.Load() != 1 && !stop.Load() }, opts)
+			}
+			if stop.Load() {
+				return
+			}
+			turn.Store(0)
+			k.Wakeup(wa, 1)
+		}
+	})
+	waitClosed(t, done, "animators")
+}

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"time"
+
+	"sunosmt/internal/ktime"
 )
 
 // This file implements the paper's "Time, interval timers, and
@@ -19,7 +21,7 @@ type itimer struct {
 	remaining time.Duration
 	interval  time.Duration // reload value; 0 = one-shot
 	sig       Signal
-	realTimer interface{ Stop() bool } // real-time timers only
+	realTimer ktime.Timer // real-time timers only
 }
 
 // decrement charges d against a virtual timer and posts its signal on
@@ -97,7 +99,7 @@ func (k *Kernel) Setitimer(l *LWP, which Which, value, interval time.Duration) e
 }
 
 func (k *Kernel) armRealLocked(p *Process, t *itimer, d time.Duration) {
-	t.realTimer = k.clock.AfterFunc(d, func() {
+	t.realTimer = ktime.AfterFunc(k.clock, d, func() {
 		k.mu.Lock()
 		defer k.mu.Unlock()
 		if p.rtimer != t {

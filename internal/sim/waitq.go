@@ -143,14 +143,7 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 		}
 	}
 	if o.Timeout > 0 {
-		ll := l
-		l.sleepTimer = k.clock.AfterFunc(o.Timeout, func() {
-			k.mu.Lock()
-			if ll.state == LWPSleeping && !ll.woken {
-				k.wakeLWPLocked(ll, WakeTimeout)
-			}
-			k.mu.Unlock()
-		})
+		k.armSleepTimerLocked(l, o.Timeout)
 	}
 	for !l.woken {
 		l.cond.Wait()
@@ -158,14 +151,31 @@ func (k *Kernel) SleepIf(l *LWP, wq *WaitQ, cond func() bool, o SleepOpts) (Wake
 			k.unwindLocked(l, reason)
 		}
 	}
-	if l.sleepTimer != nil {
-		l.sleepTimer.Stop()
-		l.sleepTimer = nil
-	}
+	l.sleepTimer.Close()
 	res := l.wakeRes
 	k.makeRunnableLocked(l)
 	k.waitOnCPULocked(l)
 	return res, true
+}
+
+// armSleepTimerLocked arms l's sleep timer for the timed sleep it is
+// about to enter, building the timer at the LWP's first timed sleep.
+func (k *Kernel) armSleepTimerLocked(l *LWP, d time.Duration) {
+	if !l.sleepTimer.Built() {
+		l.sleepTimer.Build(k.clock.NewTimer(func() { k.sleepTimeout(l) }))
+	}
+	l.sleepTimer.Arm(d)
+}
+
+// sleepTimeout is l's sleep-timer call. Under the generation rule of
+// ktime.WaitTimer a late call of an earlier sleep, whose wait has
+// already returned, can never time out a later sleep of the LWP.
+func (k *Kernel) sleepTimeout(l *LWP) {
+	k.mu.Lock()
+	if l.sleepTimer.Expired() && l.state == LWPSleeping && !l.woken {
+		k.wakeLWPLocked(l, WakeTimeout)
+	}
+	k.mu.Unlock()
 }
 
 // wakeLWPLocked pulls a sleeping LWP off its wait queue and marks it

@@ -18,6 +18,7 @@ type Cond struct {
 	mu      sync.Mutex
 	waiters waitq
 	name    string
+	bi      *core.BlockInfo // wait-for edge of every waiter (edgeLocked)
 
 	// sv (process-shared variant): word 0 is the wake generation
 	// counter.
@@ -39,18 +40,35 @@ func (cv *Cond) Name() string {
 	}
 	cv.mu.Lock()
 	defer cv.mu.Unlock()
-	if cv.name == "" {
-		cv.name = autoName("cond")
-	}
-	return cv.name
+	return lazyName(&cv.name, "cond")
 }
 
-// blockInfo is the wait-for edge for threads parked in Wait. A
-// condition wait has no owner — someone must Signal — so it never
-// contributes an edge to deadlock cycles, but it does show up in
-// lstatus as what the thread is blocked on.
-func (cv *Cond) blockInfo() *core.BlockInfo {
-	return &core.BlockInfo{Kind: "cond", Name: cv.Name()}
+// edgeLocked returns the wait-for edge every waiter publishes, built
+// at first use. A condition wait has no owner — someone must Signal —
+// so it never contributes an edge to deadlock cycles, but it does
+// show up in lstatus as what the thread is blocked on. Word lock held.
+func (cv *Cond) edgeLocked() *core.BlockInfo {
+	if cv.bi == nil {
+		if cv.sv != nil {
+			cv.bi = &core.BlockInfo{Kind: "cond", Name: cv.sv.Name()}
+		} else {
+			cv.bi = &core.BlockInfo{Kind: "cond", Name: lazyName(&cv.name, "cond")}
+		}
+	}
+	return cv.bi
+}
+
+// condQueue is a Cond seen as the core.Dequeuer of its waiter queue,
+// for timed waits.
+type condQueue Cond
+
+// Dequeue implements core.Dequeuer.
+func (q *condQueue) Dequeue(t *core.Thread) bool {
+	cv := (*Cond)(q)
+	cv.mu.Lock()
+	removed := cv.waiters.remove(t)
+	cv.mu.Unlock()
+	return removed
 }
 
 // Wait blocks until the condition is signalled (cv_wait): it releases
@@ -61,15 +79,42 @@ func (cv *Cond) Wait(t *core.Thread, mp *Mutex) {
 		cv.waitShared(t, mp, 0)
 		return
 	}
+	cv.waitLocal(t, mp, 0)
+}
+
+// TimedWait is Wait with a timeout bound, an extension of the shipped
+// library (cond_timedwait). It reports false on timeout; d <= 0 waits
+// without one. Process-shared variables time out in the kernel sleep,
+// unshared ones through the thread's timed park.
+func (cv *Cond) TimedWait(t *core.Thread, mp *Mutex, d time.Duration) bool {
+	if cv.sv != nil {
+		return cv.waitShared(t, mp, d)
+	}
+	return cv.waitLocal(t, mp, d)
+}
+
+// waitLocal is the unshared wait; d > 0 bounds it. Reports false on
+// timeout.
+func (cv *Cond) waitLocal(t *core.Thread, mp *Mutex, d time.Duration) bool {
+	var deadline time.Duration
+	if d > 0 {
+		deadline = t.Runtime().Kernel().Clock().Now() + d
+	}
 	cv.mu.Lock()
 	cv.waiters.push(t)
+	bi := cv.edgeLocked()
 	cv.mu.Unlock()
 	mp.Exit(t)
+	timedOut := false
 	if chaosOf(t).SpuriousWakeup() {
 		t.Checkpoint() // chaos: spurious wakeup, park elided
 	} else {
-		t.NoteBlocked(cv.blockInfo())
-		t.Park()
+		t.NoteBlocked(bi)
+		if d > 0 {
+			timedOut = t.ParkTimed(deadline, (*condQueue)(cv))
+		} else {
+			t.Park()
+		}
 		t.NoteUnblocked()
 	}
 	// Deregister in case the wake was a permit consumed elsewhere
@@ -79,39 +124,7 @@ func (cv *Cond) Wait(t *core.Thread, mp *Mutex) {
 	cv.mu.Unlock()
 	mp.Enter(t)
 	t.Checkpoint()
-}
-
-// TimedWait is Wait with a timeout bound, an extension of the shipped
-// library (cond_timedwait). It reports false on timeout. Only
-// process-shared variables support exact kernel timeouts; unshared
-// variables approximate with a kernel timer wake.
-func (cv *Cond) TimedWait(t *core.Thread, mp *Mutex, d time.Duration) bool {
-	if cv.sv != nil {
-		return cv.waitShared(t, mp, d)
-	}
-	if d <= 0 {
-		cv.Wait(t, mp)
-		return true
-	}
-	// Arm a wake that fires if we are still queued at the deadline.
-	fired := make(chan struct{})
-	timer := t.Runtime().Kernel().Clock().AfterFunc(d, func() {
-		close(fired)
-		cv.mu.Lock()
-		removed := cv.waiters.remove(t)
-		cv.mu.Unlock()
-		if removed {
-			t.Unpark()
-		}
-	})
-	cv.Wait(t, mp)
-	timer.Stop()
-	select {
-	case <-fired:
-		return false
-	default:
-		return true
-	}
+	return !timedOut
 }
 
 // Signal wakes one waiter (cv_signal). There is no guaranteed order
@@ -168,7 +181,10 @@ func (cv *Cond) waitShared(t *core.Thread, mp *Mutex, d time.Duration) bool {
 	if d > 0 {
 		opts.Timeout = d
 	}
-	t.NoteBlocked(cv.blockInfo())
+	cv.mu.Lock()
+	bi := cv.edgeLocked()
+	cv.mu.Unlock()
+	t.NoteBlocked(bi)
 	res, slept := cv.sv.SleepWhile(t.LWP(), func(w usync.Words) bool {
 		return w.Load(0) == gen // no signal since we decided to wait
 	}, opts)

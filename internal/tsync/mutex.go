@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sunosmt/internal/core"
-	"sunosmt/internal/ktime"
 	"sunosmt/internal/usync"
 )
 
@@ -34,11 +33,15 @@ type Mutex struct {
 	policy Policy
 	pinned lockPolicy
 
-	// qhead/qtail chain the queue policy's explicit MCS nodes; plSeq
-	// counts the parking-lot policy's releases for its fairness
-	// hand-off. All under the word lock.
-	qhead, qtail *mcsNode
-	plSeq        uint64
+	// bi is the wait-for edge published by every waiter (edgeLocked).
+	bi *core.BlockInfo
+
+	// qhead/qtail chain the queue policy's explicit MCS nodes and
+	// qfree holds its spare ones; plSeq counts the parking-lot
+	// policy's releases for its fairness hand-off. All under the word
+	// lock.
+	qhead, qtail, qfree *mcsNode
+	plSeq               uint64
 
 	// sv, when non-nil, makes this a process-shared mutex whose
 	// state lives in mapped memory at the variable's offset:
@@ -85,37 +88,38 @@ func (mp *Mutex) Name() string {
 	}
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
-	if mp.name == "" {
-		mp.name = autoName("mutex")
-	}
-	return mp.name
+	return lazyName(&mp.name, "mutex")
 }
 
-// blockInfo builds the wait-for edge published while parked on this
-// mutex. The owner closure resolves at walk time, never under the
-// caller's locks.
-func (mp *Mutex) blockInfo() *core.BlockInfo {
-	name := mp.Name()
-	if mp.sv != nil {
-		return &core.BlockInfo{Kind: "mutex", Name: name, Owner: func() (core.OwnerRef, bool) {
-			var ow uint64
-			mp.sv.Atomically(func(w usync.Words) { ow = w.Load(2) })
-			if ow == 0 {
-				return core.OwnerRef{}, false
-			}
-			pid, tid := usync.DecodeOwner(ow)
-			return core.OwnerRef{PID: pid, TID: core.ThreadID(tid)}, true
-		}}
-	}
-	return &core.BlockInfo{Kind: "mutex", Name: name, Ts: &mp.ts, Policy: mp.policyName(), Owner: func() (core.OwnerRef, bool) {
-		mp.mu.Lock()
-		o := mp.owner
-		mp.mu.Unlock()
-		if o == nil {
-			return core.OwnerRef{}, false
+// edgeLocked returns the wait-for edge every waiter on this mutex
+// publishes, building it at first contended use: after the policy is
+// pinned, so its Policy never changes. Owner reads through the mutex
+// at walk time, never under the caller's locks, so /proc lstatus, the
+// deadlock detector and the priority-inheritance walk see the current
+// owner. Word lock held.
+func (mp *Mutex) edgeLocked() *core.BlockInfo {
+	if mp.bi == nil {
+		if mp.sv != nil {
+			mp.bi = &core.BlockInfo{Kind: "mutex", Name: mp.sv.Name(), Owner: sharedOwner(mp.sv, 2)}
+		} else {
+			mp.bi = &core.BlockInfo{Kind: "mutex", Name: lazyName(&mp.name, "mutex"), Ts: &mp.ts,
+				Policy: mp.pinned.name(), Owner: localOwner(&mp.mu, &mp.owner)}
 		}
-		return core.OwnerRef{TID: o.ID()}, true
-	}}
+	}
+	return mp.bi
+}
+
+// mutexQueue is a Mutex seen as the core.Dequeuer of its waiter
+// queue, for timed parks.
+type mutexQueue Mutex
+
+// Dequeue implements core.Dequeuer.
+func (q *mutexQueue) Dequeue(t *core.Thread) bool {
+	mp := (*Mutex)(q)
+	mp.mu.Lock()
+	removed := mp.dequeueSelfLocked(t)
+	mp.mu.Unlock()
+	return removed
 }
 
 // Enter acquires the lock, blocking if it is already held
@@ -188,39 +192,6 @@ func (mp *Mutex) enterLocal(t *core.Thread, d time.Duration) error {
 	return mp.impl(t).enter(mp, t, d)
 }
 
-// parkTimed parks t with a deadline. dequeue must atomically remove t
-// from the primitive's wait queue and report whether it was still
-// queued; when the timer wins that race the park is cut short and
-// parkTimed reports true (timed out). A racing real wake keeps its
-// normal meaning: the thread was popped by the waker, the timer's
-// dequeue fails, and parkTimed reports false.
-func parkTimed(t *core.Thread, clk ktime.Clock, deadline time.Duration, dequeue func() bool) bool {
-	rem := deadline - clk.Now()
-	if rem <= 0 {
-		if dequeue() {
-			return true
-		}
-		// Already woken for real: consume the wake.
-		t.Park()
-		return false
-	}
-	fired := make(chan struct{})
-	timer := clk.AfterFunc(rem, func() {
-		if dequeue() {
-			close(fired)
-			t.Unpark()
-		}
-	})
-	t.Park()
-	timer.Stop()
-	select {
-	case <-fired:
-		return true
-	default:
-		return false
-	}
-}
-
 // TryEnter acquires the lock only if that requires no blocking
 // (mutex_tryenter); it reports whether the lock was taken. The paper
 // notes it can be used to avoid deadlock in lock-hierarchy
@@ -290,7 +261,6 @@ func (mp *Mutex) enterShared(t *core.Thread, d time.Duration) error {
 			mp.sv.Atomically(func(w usync.Words) { w.Store(1, w.Load(1)-1) })
 		}
 	}()
-	var bi *core.BlockInfo
 	for {
 		var acquired, dead, notrec, selfOwned bool
 		mp.sv.Atomically(func(w usync.Words) {
@@ -329,9 +299,9 @@ func (mp *Mutex) enterShared(t *core.Thread, d time.Duration) error {
 		if d > 0 {
 			opts.Timeout = deadline - clk.Now()
 		}
-		if bi == nil {
-			bi = mp.blockInfo()
-		}
+		mp.mu.Lock()
+		bi := mp.edgeLocked()
+		mp.mu.Unlock()
 		// Block in the kernel: the thread is temporarily bound to
 		// the LWP that blocks, as in a system call (paper). The
 		// sleep breaks on release, on the owner-death sweep

@@ -200,7 +200,6 @@ func (adaptivePolicy) enter(mp *Mutex, t *core.Thread, d time.Duration) error {
 	if d > 0 {
 		deadline = clk.Now() + d
 	}
-	var bi *core.BlockInfo
 	for {
 		mp.mu.Lock()
 		if !mp.held {
@@ -247,6 +246,7 @@ func (adaptivePolicy) enter(mp *Mutex, t *core.Thread, d time.Duration) error {
 		}
 		mp.ts.SetQueue(mp.waiters.chanOf())
 		mp.waiters.push(t)
+		bi := mp.edgeLocked()
 		mp.mu.Unlock()
 		if chaosOf(t).SpuriousWakeup() {
 			// Chaos: the park returns with no real wake.
@@ -258,21 +258,13 @@ func (adaptivePolicy) enter(mp *Mutex, t *core.Thread, d time.Duration) error {
 			t.Checkpoint()
 			continue
 		}
-		if bi == nil {
-			bi = mp.blockInfo()
-		}
 		t.NoteBlocked(bi)
 		// Will our effective priority down the ownership chain so
 		// the holder (and whatever it is blocked on) outranks us
 		// while we park — the turnstile priority inheritance.
 		t.WillPriority()
 		if d > 0 {
-			if timedOut := parkTimed(t, clk, deadline, func() bool {
-				mp.mu.Lock()
-				removed := mp.waiters.remove(t)
-				mp.mu.Unlock()
-				return removed
-			}); timedOut {
+			if t.ParkTimed(deadline, (*mutexQueue)(mp)) {
 				t.NoteUnblocked()
 				return ErrTimedOut
 			}
@@ -316,9 +308,15 @@ func (adaptivePolicy) exit(mp *Mutex, t *core.Thread) {
 // the sleepq bookkeeping need); every enqueue, grant, and cancel
 // updates both under the word lock, and exitHandOff panics if they
 // ever disagree — the queue-node integrity the chaos sweep exercises.
+//
+// Nodes are recycled through the mutex's free list: the waiter that
+// owns a node returns it once the node is off the chain, so a
+// contended queue-policy acquisition allocates nothing in steady
+// state.
 type mcsNode struct {
 	t          *core.Thread
 	next, prev *mcsNode
+	queued     bool // on the chain; word lock
 	granted    atomic.Bool
 }
 
@@ -328,9 +326,18 @@ type mcsNode struct {
 // park/unpark round trip, not to busy-wait through a hold.
 const mcsLocalSpinCap = 32
 
-// pushNodeLocked appends a node for t to the MCS chain; word lock held.
+// pushNodeLocked appends a node for t to the MCS chain, reusing a
+// free one if there is one; word lock held.
 func (mp *Mutex) pushNodeLocked(t *core.Thread) *mcsNode {
-	nd := &mcsNode{t: t}
+	nd := mp.qfree
+	if nd != nil {
+		mp.qfree = nd.next
+		nd.next = nil
+		nd.granted.Store(false)
+	} else {
+		nd = &mcsNode{}
+	}
+	nd.t, nd.queued = t, true
 	nd.prev = mp.qtail
 	if mp.qtail != nil {
 		mp.qtail.next = nd
@@ -354,6 +361,19 @@ func (mp *Mutex) unlinkNodeLocked(nd *mcsNode) {
 		mp.qtail = nd.prev
 	}
 	nd.next, nd.prev = nil, nil
+	nd.queued = false
+}
+
+// releaseNodeLocked puts the caller's node back on the free list once
+// it is off the chain; a nil or still-queued node is left alone. Word
+// lock held.
+func (mp *Mutex) releaseNodeLocked(nd *mcsNode) {
+	if nd == nil || nd.queued {
+		return
+	}
+	nd.t = nil
+	nd.next = mp.qfree
+	mp.qfree = nd
 }
 
 // popNodeLocked removes and returns the chain head; word lock held.
@@ -365,18 +385,25 @@ func (mp *Mutex) popNodeLocked() *mcsNode {
 	return nd
 }
 
-// dequeueSelfLocked removes t from the FIFO waiter queue and (if nd is
-// non-nil) its node from the MCS chain, reporting whether t was still
-// queued. False means a releaser already popped t and granted it the
-// lock — the caller's re-check loop will observe mp.owner == t. Both
-// structures are popped together by the granter, so the single
-// removed flag keeps them consistent. Word lock held.
-func (mp *Mutex) dequeueSelfLocked(t *core.Thread, nd *mcsNode) bool {
-	removed := mp.waiters.remove(t)
-	if removed && nd != nil {
-		mp.unlinkNodeLocked(nd)
+// dequeueSelfLocked removes t from the waiter queue and, under the
+// queue policy, its node from the MCS chain, reporting whether t was
+// still queued. False means a releaser already popped t (and, under a
+// hand-off policy, granted it the lock — the caller's re-check loop
+// will observe mp.owner == t). Both structures are popped together by
+// the granter, so the single removed flag keeps them consistent. The
+// chain walk runs only on cancellation (timeout, chaos spurious
+// wake), never on the grant path. Word lock held.
+func (mp *Mutex) dequeueSelfLocked(t *core.Thread) bool {
+	if !mp.waiters.remove(t) {
+		return false
 	}
-	return removed
+	for nd := mp.qhead; nd != nil; nd = nd.next {
+		if nd.t == t {
+			mp.unlinkNodeLocked(nd)
+			break
+		}
+	}
+	return true
 }
 
 // enterHandOff is the acquisition loop shared by the ticket and queue
@@ -391,14 +418,15 @@ func enterHandOff(mp *Mutex, t *core.Thread, d time.Duration, nodes bool) error 
 	if d > 0 {
 		deadline = clk.Now() + d
 	}
-	var bi *core.BlockInfo
 	enqueued := false // a grant (owner == t) is only possible once queued
+	var nd *mcsNode   // our node on the chain (queue policy)
 	for {
 		mp.mu.Lock()
 		if enqueued && mp.owner == t {
 			// Hand-off grant: the releaser dequeued us and made us
 			// owner while we were parked; held stayed true the whole
 			// time, so nobody barged in between.
+			mp.releaseNodeLocked(nd)
 			mp.mu.Unlock()
 			return nil
 		}
@@ -406,6 +434,7 @@ func enterHandOff(mp *Mutex, t *core.Thread, d time.Duration, nodes bool) error 
 			mp.held = true
 			mp.owner = t
 			mp.ts.Acquired(t)
+			mp.releaseNodeLocked(nd)
 			mp.mu.Unlock()
 			return nil
 		}
@@ -420,9 +449,9 @@ func enterHandOff(mp *Mutex, t *core.Thread, d time.Duration, nodes bool) error 
 			return ErrTimedOut
 		}
 		// Queue at the arrival-order tail and park.
-		var nd *mcsNode
 		mp.mu.Lock()
 		if enqueued && mp.owner == t {
+			mp.releaseNodeLocked(nd)
 			mp.mu.Unlock()
 			return nil
 		}
@@ -434,9 +463,11 @@ func enterHandOff(mp *Mutex, t *core.Thread, d time.Duration, nodes bool) error 
 		mp.ts.SetQueue(q)
 		q.Enqueue(t)
 		if nodes {
+			mp.releaseNodeLocked(nd)
 			nd = mp.pushNodeLocked(t)
 		}
 		enqueued = true
+		bi := mp.edgeLocked()
 		mp.mu.Unlock()
 		if chaosOf(t).SpuriousWakeup() {
 			// Chaos: the park returns with no real wake. Deregister
@@ -444,7 +475,7 @@ func enterHandOff(mp *Mutex, t *core.Thread, d time.Duration, nodes bool) error 
 			// popped us — the re-check above then sees ownership)
 			// and re-contend from the tail.
 			mp.mu.Lock()
-			mp.dequeueSelfLocked(t, nd)
+			mp.dequeueSelfLocked(t)
 			mp.mu.Unlock()
 			t.Checkpoint()
 			continue
@@ -459,19 +490,14 @@ func enterHandOff(mp *Mutex, t *core.Thread, d time.Duration, nodes bool) error 
 				t.Yield()
 			}
 		}
-		if bi == nil {
-			bi = mp.blockInfo()
-		}
 		t.NoteBlocked(bi)
 		t.WillPriority()
 		if d > 0 {
-			if timedOut := parkTimed(t, clk, deadline, func() bool {
-				mp.mu.Lock()
-				removed := mp.dequeueSelfLocked(t, nd)
-				mp.mu.Unlock()
-				return removed
-			}); timedOut {
+			if t.ParkTimed(deadline, (*mutexQueue)(mp)) {
 				t.NoteUnblocked()
+				mp.mu.Lock()
+				mp.releaseNodeLocked(nd)
+				mp.mu.Unlock()
 				return ErrTimedOut
 			}
 		} else {
@@ -559,7 +585,6 @@ func (parkingLotPolicy) enter(mp *Mutex, t *core.Thread, d time.Duration) error 
 	if d > 0 {
 		deadline = clk.Now() + d
 	}
-	var bi *core.BlockInfo
 	enqueued := false
 	for {
 		mp.mu.Lock()
@@ -605,6 +630,7 @@ func (parkingLotPolicy) enter(mp *Mutex, t *core.Thread, d time.Duration) error 
 		mp.ts.SetQueue(mp.waiters.chanOf())
 		mp.waiters.push(t)
 		enqueued = true
+		bi := mp.edgeLocked()
 		mp.mu.Unlock()
 		if chaosOf(t).SpuriousWakeup() {
 			mp.mu.Lock()
@@ -613,18 +639,10 @@ func (parkingLotPolicy) enter(mp *Mutex, t *core.Thread, d time.Duration) error 
 			t.Checkpoint()
 			continue
 		}
-		if bi == nil {
-			bi = mp.blockInfo()
-		}
 		t.NoteBlocked(bi)
 		t.WillPriority()
 		if d > 0 {
-			if timedOut := parkTimed(t, clk, deadline, func() bool {
-				mp.mu.Lock()
-				removed := mp.waiters.remove(t)
-				mp.mu.Unlock()
-				return removed
-			}); timedOut {
+			if t.ParkTimed(deadline, (*mutexQueue)(mp)) {
 				t.NoteUnblocked()
 				return ErrTimedOut
 			}

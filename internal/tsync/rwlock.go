@@ -41,6 +41,7 @@ type RWLock struct {
 	wq        waitq          // blocked writers
 	ts        core.Turnstile // priority-inheritance anchor (writer owner)
 	name      string
+	bi        *core.BlockInfo // wait-for edge of every waiter (edgeLocked)
 
 	// sv (process-shared variant): word 0 = readers, word 1 =
 	// writer flag, word 2 = waiting writers, word 3 = upgrade in
@@ -67,36 +68,47 @@ func (rw *RWLock) Name() string {
 	}
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
-	if rw.name == "" {
-		rw.name = autoName("rwlock")
-	}
-	return rw.name
+	return lazyName(&rw.name, "rwlock")
 }
 
-// blockInfo is the wait-for edge for threads parked on this lock. The
-// resolvable owner is the writer (readers are anonymous).
-func (rw *RWLock) blockInfo() *core.BlockInfo {
-	name := rw.Name()
-	if rw.sv != nil {
-		return &core.BlockInfo{Kind: "rwlock", Name: name, Owner: func() (core.OwnerRef, bool) {
-			var ow uint64
-			rw.sv.Atomically(func(w usync.Words) { ow = w.Load(4) })
-			if ow == 0 {
-				return core.OwnerRef{}, false
-			}
-			pid, tid := usync.DecodeOwner(ow)
-			return core.OwnerRef{PID: pid, TID: core.ThreadID(tid)}, true
-		}}
-	}
-	return &core.BlockInfo{Kind: "rwlock", Name: name, Ts: &rw.ts, Owner: func() (core.OwnerRef, bool) {
-		rw.mu.Lock()
-		o := rw.owner
-		rw.mu.Unlock()
-		if o == nil {
-			return core.OwnerRef{}, false
+// edgeLocked returns the wait-for edge every waiter on this lock
+// publishes, built at first contended use. The resolvable owner is
+// the writer (readers are anonymous); Owner reads through the lock at
+// walk time. Word lock held.
+func (rw *RWLock) edgeLocked() *core.BlockInfo {
+	if rw.bi == nil {
+		if rw.sv != nil {
+			rw.bi = &core.BlockInfo{Kind: "rwlock", Name: rw.sv.Name(), Owner: sharedOwner(rw.sv, 4)}
+		} else {
+			rw.bi = &core.BlockInfo{Kind: "rwlock", Name: lazyName(&rw.name, "rwlock"), Ts: &rw.ts, Owner: localOwner(&rw.mu, &rw.owner)}
 		}
-		return core.OwnerRef{TID: o.ID()}, true
-	}}
+	}
+	return rw.bi
+}
+
+// rwReaders and rwWriters are an RWLock seen as the core.Dequeuer of
+// its blocked-reader and blocked-writer queues, for timed parks.
+type (
+	rwReaders RWLock
+	rwWriters RWLock
+)
+
+// Dequeue implements core.Dequeuer.
+func (q *rwReaders) Dequeue(t *core.Thread) bool {
+	rw := (*RWLock)(q)
+	rw.mu.Lock()
+	removed := rw.rq.remove(t)
+	rw.mu.Unlock()
+	return removed
+}
+
+// Dequeue implements core.Dequeuer.
+func (q *rwWriters) Dequeue(t *core.Thread) bool {
+	rw := (*RWLock)(q)
+	rw.mu.Lock()
+	removed := rw.wq.remove(t)
+	rw.mu.Unlock()
+	return removed
 }
 
 // Enter acquires a readers or writer lock (rw_enter), blocking as
@@ -173,7 +185,10 @@ func (rw *RWLock) enterLocal(t *core.Thread, typ RWType, d time.Duration) error 
 	if d > 0 {
 		deadline = clk.Now() + d
 	}
-	var bi *core.BlockInfo
+	var dq core.Dequeuer = (*rwReaders)(rw)
+	if typ == RWWriter {
+		dq = (*rwWriters)(rw)
+	}
 	for {
 		rw.mu.Lock()
 		if rw.tryLocked(t, typ) {
@@ -192,32 +207,19 @@ func (rw *RWLock) enterLocal(t *core.Thread, typ RWType, d time.Duration) error 
 			rw.ts.SetQueue2(rw.rq.chanOf())
 			rw.rq.push(t)
 		}
+		bi := rw.edgeLocked()
 		rw.mu.Unlock()
-		if bi == nil {
-			bi = rw.blockInfo()
-		}
 		timedOut := false
 		if chaosOf(t).SpuriousWakeup() {
 			t.Checkpoint() // chaos: spurious wakeup, park elided
-		} else if d > 0 {
-			t.NoteBlocked(bi)
-			t.WillPriority() // boost the writer holding us out
-			timedOut = parkTimed(t, clk, deadline, func() bool {
-				rw.mu.Lock()
-				var removed bool
-				if typ == RWWriter {
-					removed = rw.wq.remove(t)
-				} else {
-					removed = rw.rq.remove(t)
-				}
-				rw.mu.Unlock()
-				return removed
-			})
-			t.NoteUnblocked()
 		} else {
 			t.NoteBlocked(bi)
 			t.WillPriority() // boost the writer holding us out
-			t.Park()
+			if d > 0 {
+				timedOut = t.ParkTimed(deadline, dq)
+			} else {
+				t.Park()
+			}
 			t.NoteUnblocked()
 		}
 		rw.mu.Lock()
@@ -408,7 +410,6 @@ func (rw *RWLock) enterShared(t *core.Thread, typ RWType, d time.Duration) error
 			rw.sv.Atomically(func(w usync.Words) { w.Store(2, w.Load(2)-1) })
 		}
 	}()
-	var bi *core.BlockInfo
 	for {
 		var acquired, dead, notrec bool
 		rw.sv.Atomically(func(w usync.Words) {
@@ -466,9 +467,9 @@ func (rw *RWLock) enterShared(t *core.Thread, typ RWType, d time.Duration) error
 		if d > 0 {
 			opts.Timeout = deadline - clk.Now()
 		}
-		if bi == nil {
-			bi = rw.blockInfo()
-		}
+		rw.mu.Lock()
+		bi := rw.edgeLocked()
+		rw.mu.Unlock()
 		t.NoteBlocked(bi)
 		if typ == RWWriter {
 			rw.sv.SleepWhile(l, func(w usync.Words) bool {

@@ -27,6 +27,7 @@ type Sema struct {
 	holder  *core.Thread // most recent P-er without a matching V
 	waiters waitq
 	name    string
+	bi      *core.BlockInfo // wait-for edge of every waiter (edgeLocked)
 
 	// sv (process-shared variant): word 0 is the count, word 1 the
 	// most recent holder (pid, tid), word 2 the robust state.
@@ -66,37 +67,36 @@ func (sp *Sema) Name() string {
 	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if sp.name == "" {
-		sp.name = autoName("sema")
-	}
-	return sp.name
+	return lazyName(&sp.name, "sema")
 }
 
-// blockInfo is the wait-for edge for threads parked in P. The
-// resolvable owner is the most recent un-V'd P-er, which makes
-// mutex-style semaphore usage visible to the deadlock detector.
-func (sp *Sema) blockInfo() *core.BlockInfo {
-	name := sp.Name()
-	if sp.sv != nil {
-		return &core.BlockInfo{Kind: "sema", Name: name, Owner: func() (core.OwnerRef, bool) {
-			var ow uint64
-			sp.sv.Atomically(func(w usync.Words) { ow = w.Load(1) })
-			if ow == 0 {
-				return core.OwnerRef{}, false
-			}
-			pid, tid := usync.DecodeOwner(ow)
-			return core.OwnerRef{PID: pid, TID: core.ThreadID(tid)}, true
-		}}
-	}
-	return &core.BlockInfo{Kind: "sema", Name: name, Owner: func() (core.OwnerRef, bool) {
-		sp.mu.Lock()
-		h := sp.holder
-		sp.mu.Unlock()
-		if h == nil {
-			return core.OwnerRef{}, false
+// edgeLocked returns the wait-for edge every waiter in P publishes,
+// built at first contended use. The resolvable owner is the most
+// recent un-V'd P-er, which makes mutex-style semaphore usage visible
+// to the deadlock detector; Owner reads through the semaphore at walk
+// time. Word lock held.
+func (sp *Sema) edgeLocked() *core.BlockInfo {
+	if sp.bi == nil {
+		if sp.sv != nil {
+			sp.bi = &core.BlockInfo{Kind: "sema", Name: sp.sv.Name(), Owner: sharedOwner(sp.sv, 1)}
+		} else {
+			sp.bi = &core.BlockInfo{Kind: "sema", Name: lazyName(&sp.name, "sema"), Owner: localOwner(&sp.mu, &sp.holder)}
 		}
-		return core.OwnerRef{TID: h.ID()}, true
-	}}
+	}
+	return sp.bi
+}
+
+// semaQueue is a Sema seen as the core.Dequeuer of its waiter queue,
+// for timed parks.
+type semaQueue Sema
+
+// Dequeue implements core.Dequeuer.
+func (q *semaQueue) Dequeue(t *core.Thread) bool {
+	sp := (*Sema)(q)
+	sp.mu.Lock()
+	removed := sp.waiters.remove(t)
+	sp.mu.Unlock()
+	return removed
 }
 
 // P decrements the semaphore, blocking while the count is zero
@@ -133,7 +133,6 @@ func (sp *Sema) pLocal(t *core.Thread, d time.Duration) error {
 	if d > 0 {
 		deadline = clk.Now() + d
 	}
-	var bi *core.BlockInfo
 	for {
 		sp.mu.Lock()
 		if sp.count > 0 {
@@ -147,31 +146,22 @@ func (sp *Sema) pLocal(t *core.Thread, d time.Duration) error {
 			return ErrTimedOut
 		}
 		sp.waiters.push(t)
+		bi := sp.edgeLocked()
 		sp.mu.Unlock()
 		if chaosOf(t).SpuriousWakeup() {
 			t.Checkpoint() // chaos: spurious wakeup, park elided
-		} else if d > 0 {
-			if bi == nil {
-				bi = sp.blockInfo()
-			}
+		} else {
 			t.NoteBlocked(bi)
-			timedOut := parkTimed(t, clk, deadline, func() bool {
-				sp.mu.Lock()
-				removed := sp.waiters.remove(t)
-				sp.mu.Unlock()
-				return removed
-			})
+			timedOut := false
+			if d > 0 {
+				timedOut = t.ParkTimed(deadline, (*semaQueue)(sp))
+			} else {
+				t.Park()
+			}
 			t.NoteUnblocked()
 			if timedOut {
 				return ErrTimedOut
 			}
-		} else {
-			if bi == nil {
-				bi = sp.blockInfo()
-			}
-			t.NoteBlocked(bi)
-			t.Park()
-			t.NoteUnblocked()
 		}
 		// Mesa semantics: re-check; a barger may have taken the
 		// count.
@@ -259,7 +249,6 @@ func (sp *Sema) pShared(t *core.Thread, d time.Duration) error {
 	if d > 0 {
 		deadline = clk.Now() + d
 	}
-	var bi *core.BlockInfo
 	for {
 		var acquired, dead bool
 		sp.sv.Atomically(func(w usync.Words) {
@@ -289,9 +278,9 @@ func (sp *Sema) pShared(t *core.Thread, d time.Duration) error {
 		if d > 0 {
 			opts.Timeout = deadline - clk.Now()
 		}
-		if bi == nil {
-			bi = sp.blockInfo()
-		}
+		sp.mu.Lock()
+		bi := sp.edgeLocked()
+		sp.mu.Unlock()
 		t.NoteBlocked(bi)
 		sp.sv.SleepWhile(l, func(w usync.Words) bool {
 			return w.Load(0) == 0

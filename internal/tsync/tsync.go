@@ -28,10 +28,12 @@ package tsync
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"sunosmt/internal/chaos"
 	"sunosmt/internal/core"
+	"sunosmt/internal/usync"
 )
 
 // Errors returned by the fallible acquisition entry points (EnterErr,
@@ -62,6 +64,43 @@ var nameSeq atomic.Uint64
 
 func autoName(kind string) string {
 	return fmt.Sprintf("%s#%d", kind, nameSeq.Add(1))
+}
+
+// lazyName returns *name, assigning "kind#N" at first use. The
+// object's word lock is held.
+func lazyName(name *string, kind string) string {
+	if *name == "" {
+		*name = autoName(kind)
+	}
+	return *name
+}
+
+// localOwner resolves an unshared object's owner at walk time: the
+// thread in *owner, read under the object's word lock mu.
+func localOwner(mu *sync.Mutex, owner **core.Thread) func() (core.OwnerRef, bool) {
+	return func() (core.OwnerRef, bool) {
+		mu.Lock()
+		o := *owner
+		mu.Unlock()
+		if o == nil {
+			return core.OwnerRef{}, false
+		}
+		return core.OwnerRef{TID: o.ID()}, true
+	}
+}
+
+// sharedOwner resolves a process-shared object's owner at walk time
+// from the (pid, tid) in its state word i.
+func sharedOwner(sv *usync.Var, i int) func() (core.OwnerRef, bool) {
+	return func() (core.OwnerRef, bool) {
+		var ow uint64
+		sv.Atomically(func(w usync.Words) { ow = w.Load(i) })
+		if ow == 0 {
+			return core.OwnerRef{}, false
+		}
+		pid, tid := usync.DecodeOwner(ow)
+		return core.OwnerRef{PID: pid, TID: core.ThreadID(tid)}, true
+	}
 }
 
 // Variant selects a mutex implementation variant, as the paper allows

@@ -45,7 +45,11 @@ type varKey struct {
 
 type varState struct {
 	wordMu sync.Mutex // models the hardware atomic on the shared words
-	wq     *sim.WaitQ
+	// word is the transfer buffer of Words.Load/Store, guarded by
+	// wordMu. A stack buffer would escape through the vm.Object
+	// interface call and cost a heap allocation per word access.
+	word [8]byte
+	wq   *sim.WaitQ
 	// obj is the backing object, retained so the owner-death sweep
 	// can reach the state words without a per-process handle; kind
 	// tells the sweep which word layout the variable uses. Both are
@@ -112,18 +116,18 @@ type Words struct{ v *Var }
 
 // Load returns state word i.
 func (w Words) Load(i int) uint64 {
-	var b [8]byte
-	if err := w.v.obj.ReadObject(b[:], w.v.off+int64(8*i)); err != nil {
+	b := w.v.st.word[:]
+	if err := w.v.obj.ReadObject(b, w.v.off+int64(8*i)); err != nil {
 		panic(fmt.Sprintf("usync: load word %d: %v", i, err))
 	}
-	return binary.LittleEndian.Uint64(b[:])
+	return binary.LittleEndian.Uint64(b)
 }
 
 // Store sets state word i.
 func (w Words) Store(i int, x uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], x)
-	if err := w.v.obj.WriteObject(b[:], w.v.off+int64(8*i)); err != nil {
+	b := w.v.st.word[:]
+	binary.LittleEndian.PutUint64(b, x)
+	if err := w.v.obj.WriteObject(b, w.v.off+int64(8*i)); err != nil {
 		panic(fmt.Sprintf("usync: store word %d: %v", i, err))
 	}
 }

@@ -198,3 +198,21 @@ func TestSleepWhileTimeout(t *testing.T) {
 	})
 	<-d
 }
+
+// TestWordsZeroAlloc pins shared-word access at zero allocations: the
+// transfer buffer lives with the word lock instead of escaping to the
+// heap through the backing object's interface on every Load/Store.
+func TestWordsZeroAlloc(t *testing.T) {
+	k := sim.NewKernel(sim.Config{NCPU: 1})
+	reg := NewRegistry(k)
+	v := reg.Var(vm.NewAnon(vm.PageSize), 16)
+	bump := func(w Words) { w.Store(1, w.Load(1)+1) }
+	if avg := testing.AllocsPerRun(200, func() { v.Atomically(bump) }); avg > 0 {
+		t.Errorf("Words Load/Store allocates %.2f objects/op, want 0", avg)
+	}
+	var got uint64
+	v.Atomically(func(w Words) { got = w.Load(1) })
+	if got != 201 {
+		t.Fatalf("word = %d after 201 increments", got)
+	}
+}

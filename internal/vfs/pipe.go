@@ -78,7 +78,9 @@ func (p *Pipe) read(l *sim.LWP, b []byte) (int, error) {
 		p.mu.Lock()
 		if len(p.buf) > 0 {
 			n := copy(b, p.buf)
-			p.buf = p.buf[n:]
+			// Keep the backing array: later writes append into it
+			// instead of reallocating.
+			p.buf = p.buf[:copy(p.buf, p.buf[n:])]
 			p.mu.Unlock()
 			k.Wakeup(p.wq, -1)
 			k.Wakeup(p.pollq, -1)
@@ -89,11 +91,29 @@ func (p *Pipe) read(l *sim.LWP, b []byte) (int, error) {
 			return 0, io.EOF
 		}
 		p.mu.Unlock()
-		res := k.Sleep(l, p.rq, sim.SleepOpts{Interruptible: true, Indefinite: true})
+		res, _ := k.SleepIf(l, p.rq, p.readBlocks, sim.SleepOpts{Interruptible: true, Indefinite: true})
 		if res == sim.WakeInterrupted {
 			return 0, sim.ErrIntr
 		}
 	}
+}
+
+// readBlocks is a reader's sleep condition, checked by the kernel
+// under its lock as the reader queues (lock order: kernel, then
+// pipe): a write or a last-writer close between the reader's check and
+// its sleep makes it false, so that wakeup cannot be lost.
+func (p *Pipe) readBlocks() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.buf) == 0 && p.writers > 0
+}
+
+// writeBlocks is a writer's sleep condition, the counterpart of
+// readBlocks.
+func (p *Pipe) writeBlocks() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.buf) >= pipeCap && p.readers > 0
 }
 
 // write implements pipe writes: blocks while full; raises SIGPIPE and
@@ -120,7 +140,7 @@ func (p *Pipe) write(l *sim.LWP, b []byte) (int, error) {
 			continue
 		}
 		p.mu.Unlock()
-		res := k.Sleep(l, p.wq, sim.SleepOpts{Interruptible: true, Indefinite: true})
+		res, _ := k.SleepIf(l, p.wq, p.writeBlocks, sim.SleepOpts{Interruptible: true, Indefinite: true})
 		if res == sim.WakeInterrupted {
 			return total, sim.ErrIntr
 		}

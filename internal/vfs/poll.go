@@ -34,13 +34,16 @@ func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int,
 	k.SyscallEnter(l)
 	defer k.SyscallExit(l)
 
+	// The timeout runs from the start of the call: a wake that finds
+	// nothing ready re-sleeps only for what is left of it.
 	deadline := time.Duration(-1)
 	if timeout > 0 {
-		deadline = timeout
+		deadline = k.Clock().Now() + timeout
 	}
 	for {
 		ready := 0
-		var pipes []*Pipe
+		var first *Pipe // the pipe whose poll queue the sleep waits on
+		npipes := 0
 		for i := range fds {
 			fds[i].Revents = 0
 			of, err := pf.get(fds[i].FD)
@@ -50,7 +53,10 @@ func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int,
 				continue
 			}
 			if of.pipe != nil {
-				pipes = append(pipes, of.pipe)
+				if first == nil {
+					first = of.pipe
+				}
+				npipes++
 				if fds[i].Events&PollIn != 0 && of.pipe.pollReadable() {
 					fds[i].Revents |= PollIn
 				}
@@ -73,7 +79,7 @@ func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int,
 		if ready > 0 {
 			return ready, nil
 		}
-		if len(pipes) == 0 {
+		if npipes == 0 {
 			// Nothing can ever become ready; treat as timeout
 			// semantics with no wait channel.
 			return 0, ErrInval
@@ -85,11 +91,14 @@ func (pf *ProcFiles) Poll(l *sim.LWP, fds []PollFD, timeout time.Duration) (int,
 		// the sleep.
 		opts := sim.SleepOpts{Interruptible: true, Indefinite: true}
 		if deadline >= 0 {
-			opts.Timeout = deadline
-		} else if len(pipes) > 1 {
+			opts.Timeout = deadline - k.Clock().Now()
+			if opts.Timeout <= 0 {
+				return 0, nil
+			}
+		} else if npipes > 1 {
 			opts.Timeout = time.Millisecond
 		}
-		res := k.Sleep(l, pipes[0].pollq, opts)
+		res := k.Sleep(l, first.pollq, opts)
 		switch res {
 		case sim.WakeInterrupted:
 			return 0, sim.ErrIntr

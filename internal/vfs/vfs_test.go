@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sunosmt/internal/ktime"
 	"sunosmt/internal/sim"
 )
 
@@ -19,7 +20,10 @@ type harness struct {
 }
 
 func newHarness(ncpu int) *harness {
-	k := sim.NewKernel(sim.Config{NCPU: ncpu})
+	return newHarnessOn(sim.NewKernel(sim.Config{NCPU: ncpu}))
+}
+
+func newHarnessOn(k *sim.Kernel) *harness {
 	fs := NewFS(k)
 	p := k.NewProcess("test", nil)
 	pf := NewProcFiles(fs, p)
@@ -415,6 +419,50 @@ func TestPollTimeout(t *testing.T) {
 		}
 	})
 	h.wait(t, done, "poller")
+}
+
+// TestPollTimeoutFromCallStart: wakes that find nothing ready do not
+// restart a poll's timeout. On a manual clock the poller is woken
+// every 30ms with the pipe still empty; its 100ms timeout must still
+// expire at 100ms, not 100ms after the last such wake.
+func TestPollTimeoutFromCallStart(t *testing.T) {
+	clk := ktime.NewManual()
+	h := newHarnessOn(sim.NewKernel(sim.Config{NCPU: 1, Clock: clk}))
+	pipes := make(chan *Pipe, 1)
+	var returnedAt time.Duration
+	done := h.run(func(l *sim.LWP) {
+		rfd, _, _ := h.pf.Pipe(l)
+		of, _ := h.pf.get(rfd)
+		pipes <- of.pipe
+		fds := []PollFD{{FD: rfd, Events: PollIn}}
+		n, err := h.pf.Poll(l, fds, 100*time.Millisecond)
+		returnedAt = clk.Now()
+		if err != nil || n != 0 {
+			t.Errorf("poll = %d, %v; want 0 on timeout", n, err)
+		}
+	})
+	p := <-pipes
+	for step := 0; ; step++ {
+		// Wait for the poller to be asleep on the pipe (or gone).
+		for p.pollq.Len(h.k) == 0 {
+			select {
+			case <-done:
+				// The timer fires at 100ms inside the Advance that
+				// takes the clock from 90ms to 120ms.
+				if returnedAt < 100*time.Millisecond || returnedAt > 120*time.Millisecond {
+					t.Fatalf("poll timed out at %v, want 100ms", returnedAt)
+				}
+				return
+			default:
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		if step == 10 {
+			t.Fatalf("poll with a 100ms timeout still blocked at %v", clk.Now())
+		}
+		clk.Advance(30 * time.Millisecond)
+		h.k.Wakeup(p.pollq, -1) // nothing is ready: the poller re-sleeps
+	}
 }
 
 func TestForkIntoSharesOpenFiles(t *testing.T) {
